@@ -14,6 +14,7 @@
 
 open Repro_core
 open Repro_workload
+module Stats = Repro_obs.Stats
 
 let quick = Array.exists (fun a -> a = "--quick") Sys.argv
 let warmup_s = if quick then 0.5 else 1.0
@@ -749,7 +750,7 @@ let bench_report path =
                 ~unit_:"ms" ~higher_is_better:false
                 (List.map
                    (fun (r : Experiment.result) ->
-                     r.early_latency_ms.Repro_workload.Stats.mean)
+                     r.early_latency_ms.Stats.mean)
                    runs);
               Repro_analysis.Bench_report.entry ~name:(name "throughput")
                 ~unit_:"msgs/s" ~higher_is_better:true
@@ -804,7 +805,7 @@ let bench_report path =
             ~unit_:"ms" ~higher_is_better:false
             (List.map
                (fun (r : Repro_shard.Shard.result) ->
-                 r.latency_ms.Repro_workload.Stats.mean)
+                 r.latency_ms.Stats.mean)
                runs);
           Repro_analysis.Bench_report.entry ~name:(name "throughput")
             ~unit_:"req/s" ~higher_is_better:true

@@ -5,6 +5,7 @@
 open Cmdliner
 open Repro_core
 open Repro_workload
+module Stats = Repro_obs.Stats
 
 (* ---- Shared options ---- *)
 
@@ -1357,6 +1358,37 @@ let critical_path_cmd =
           end-to-end latency to protocol layer/phase and wire segments.")
     Term.(ret (const run $ trace_arg $ pid_arg))
 
+(* ---- metrics: the declared metric schema ---- *)
+
+let metrics_cmd =
+  let list_arg =
+    Arg.(
+      value & flag
+      & info [ "list" ]
+          ~doc:
+            "Print every declared metric, one per line: name, kind, unit, layer and \
+             determinism class. A name with a $(i,<placeholder>) segment is a family \
+             (e.g. $(i,net.msgs.<layer>)).")
+  in
+  let run list =
+    if not list then `Help (`Auto, Some "metrics")
+    else begin
+      let module M = Repro_obs.Metric in
+      Array.iter
+        (fun (s : M.spec) ->
+          Fmt.pr "%-48s %-9s %-9s %-9s %s@." s.M.name (M.kind_name s.M.kind) s.M.unit
+            (M.layer_name s.M.layer) (M.determinism_name s.M.det))
+        M.schema;
+      `Ok ()
+    end
+  in
+  Cmd.v
+    (Cmd.info "metrics"
+       ~doc:
+         "The declared metric schema: every counter, gauge and histogram a sink can \
+          export (see $(b,--metrics-out)).")
+    Term.(ret (const run $ list_arg))
+
 (* ---- lint: determinism & modularity-boundary static analysis ---- *)
 
 let lint_cmd =
@@ -1581,6 +1613,7 @@ let main_cmd =
            the batched-hop equivalence + speed gate." );
       `I ("$(b,compare)", "regression gate over two bench --json-out reports.");
       `I ("$(b,critical-path)", "per-delivery latency attribution from a span trace.");
+      `I ("$(b,metrics)", "the declared metric schema (--list).");
       `I ("$(b,lint)", "determinism & modularity-boundary static analysis (.cmt based).");
       `I ("$(b,all)", "regenerate every figure of the paper in one go.");
     ]
@@ -1603,6 +1636,7 @@ let main_cmd =
       study_cmd;
       compare_cmd;
       critical_path_cmd;
+      metrics_cmd;
       lint_cmd;
       all_cmd;
     ]

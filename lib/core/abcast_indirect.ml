@@ -4,6 +4,11 @@ open Repro_net
 module L = (val Logs.src_log Log.abcast)
 module Obs = Repro_obs.Obs
 
+(* Metric handles, resolved once (see [Obs.Metric.schema]). *)
+let c_abcasts = Obs.Metric.counter "abcast.abcasts"
+let c_adelivers = Obs.Metric.counter "abcast.adelivers"
+let h_e2e_ms = Obs.Metric.histogram "abcast.e2e_ms"
+
 type consensus_service = { propose : inst:int -> Batch.t -> unit }
 
 module Id_tbl = Hashtbl.Make (struct
@@ -132,9 +137,9 @@ let adeliver_batch t batch =
             ~seq:m.id.App_msg.seq;
           t.ordered <- App_msg.Id_set.remove m.id t.ordered;
           t.delivered_count <- t.delivered_count + 1;
-          Obs.incr t.obs "abcast.adelivers";
+          Obs.incr t.obs c_adelivers;
           if Obs.enabled t.obs then
-            Obs.observe_since t.obs "abcast.e2e_ms" payload.App_msg.abcast_at;
+            Obs.observe_since t.obs h_e2e_ms payload.App_msg.abcast_at;
           t.on_adeliver payload
         | None ->
           (* Unreachable: the caller checked [missing_payloads] first. *)
@@ -183,7 +188,7 @@ let note_payload t (m : App_msg.t) =
 
 let abcast t m =
   if not (delivered_mem t m.App_msg.id) then begin
-    Obs.incr t.obs "abcast.abcasts";
+    Obs.incr t.obs c_abcasts;
     let sp =
       if Obs.tracing t.obs then begin
         Obs.event t.obs ~pid:t.me ~layer:`Abcast ~phase:"abcast"

@@ -1,6 +1,11 @@
 module L = (val Logs.src_log Log.abcast)
 module Obs = Repro_obs.Obs
 
+(* Metric handles, resolved once (see [Obs.Metric.schema]). *)
+let c_abcasts = Obs.Metric.counter "abcast.abcasts"
+let c_adelivers = Obs.Metric.counter "abcast.adelivers"
+let h_e2e_ms = Obs.Metric.histogram "abcast.e2e_ms"
+
 type consensus_service = { propose : inst:int -> Batch.t -> unit }
 
 type t = {
@@ -74,9 +79,9 @@ let adeliver_batch t batch =
       then begin
         Id_table.add t.delivered ~origin:id.App_msg.origin ~seq:id.App_msg.seq;
         t.delivered_count <- t.delivered_count + 1;
-        Obs.incr t.obs "abcast.adelivers";
+        Obs.incr t.obs c_adelivers;
         if Obs.enabled t.obs then
-          Obs.observe_since t.obs "abcast.e2e_ms" m.App_msg.abcast_at;
+          Obs.observe_since t.obs h_e2e_ms m.App_msg.abcast_at;
         t.on_adeliver m
       end)
     (Batch.to_list batch);
@@ -112,7 +117,7 @@ let delivered_mem t (m : App_msg.t) =
 let abcast t m =
   if not (delivered_mem t m) then begin
     t.pending <- Batch.add t.pending m;
-    Obs.incr t.obs "abcast.abcasts";
+    Obs.incr t.obs c_abcasts;
     let sp =
       if Obs.tracing t.obs then begin
         Obs.event t.obs ~pid:t.me ~layer:`Abcast ~phase:"abcast"

@@ -5,6 +5,12 @@ module Obs = Repro_obs.Obs
 
 module L = (val Logs.src_log Log.mono)
 
+(* Metric handles, resolved once (see [Obs.Metric.schema]). *)
+let c_abcasts = Obs.Metric.counter "abcast.abcasts"
+let c_adelivers = Obs.Metric.counter "abcast.adelivers"
+let h_e2e_ms = Obs.Metric.histogram "abcast.e2e_ms"
+let c_decisions = Obs.Metric.counter "abcast.decisions"
+
 type inst_state = {
   inst : int;
   mutable round : int;
@@ -127,9 +133,9 @@ let adeliver_batch t batch =
         Id_table.add t.delivered ~origin:m.App_msg.id.App_msg.origin
           ~seq:m.App_msg.id.App_msg.seq;
         t.delivered_count <- t.delivered_count + 1;
-        Obs.incr t.obs "abcast.adelivers";
+        Obs.incr t.obs c_adelivers;
         if Obs.enabled t.obs then
-          Obs.observe_since t.obs "abcast.e2e_ms" m.App_msg.abcast_at;
+          Obs.observe_since t.obs h_e2e_ms m.App_msg.abcast_at;
         t.on_adeliver m
       end)
     (Batch.to_list batch);
@@ -245,7 +251,7 @@ and mono_decide t s value ~here_round =
       s.pending_requesters;
     s.pending_requesters <- [];
     L.debug (fun m -> m "%a decide i%d %a" Pid.pp t.me s.inst Batch.pp value);
-    Obs.incr t.obs "abcast.decisions";
+    Obs.incr t.obs c_decisions;
     let sp =
       if Obs.tracing t.obs then begin
         Obs.event t.obs ~pid:t.me ~layer:`Abcast ~phase:"decide"
@@ -479,7 +485,7 @@ let rec arm_kick t =
 
 let abcast t m =
   if not (delivered_mem t m) then begin
-    Obs.incr t.obs "abcast.abcasts";
+    Obs.incr t.obs c_abcasts;
     let sp =
       if Obs.tracing t.obs then begin
         Obs.event t.obs ~pid:t.me ~layer:`Abcast ~phase:"abcast"

@@ -5,6 +5,13 @@ module Obs = Repro_obs.Obs
 
 module L = (val Logs.src_log Log.consensus)
 
+(* Metric handles, resolved once (see [Obs.Metric.schema]). *)
+let c_acks = Obs.Metric.counter "consensus.acks"
+let c_decisions = Obs.Metric.counter "consensus.decisions"
+let c_estimates = Obs.Metric.counter "consensus.estimates"
+let c_proposals = Obs.Metric.counter "consensus.proposals"
+let h_decide_ms = Obs.Metric.histogram "consensus.decide_ms"
+
 type inst_state = {
   inst : int;
   created_at : Time.t; (* first local activity, for the decide-latency histogram *)
@@ -137,9 +144,9 @@ let decide t s value =
     s.pending_requesters <- [];
     L.debug (fun m ->
         m "%a decide i%d %a" Pid.pp t.me s.inst Batch.pp value);
-    Obs.incr t.obs "consensus.decisions";
+    Obs.incr t.obs c_decisions;
     if Obs.enabled t.obs then
-      Obs.observe_since t.obs "consensus.decide_ms" s.created_at;
+      Obs.observe_since t.obs h_decide_ms s.created_at;
     let sp =
       if Obs.tracing t.obs then begin
         Obs.event t.obs ~pid:t.me ~layer:`Consensus ~phase:"decide"
@@ -229,7 +236,7 @@ and maybe_propose t s ~round =
       slot := [ t.me ];
       L.debug (fun m ->
           m "%a propose i%d r%d (%d msgs)" Pid.pp t.me s.inst round (Batch.size value));
-      Obs.incr t.obs "consensus.proposals";
+      Obs.incr t.obs c_proposals;
       let sp =
         if Obs.tracing t.obs then begin
           Obs.event t.obs ~pid:t.me ~layer:`Consensus ~phase:"propose"
@@ -277,7 +284,7 @@ and send_estimate t s ~round =
   match s.estimate with
   | Some value when not (List.mem round s.estimate_sent) ->
     s.estimate_sent <- round :: s.estimate_sent;
-    Obs.incr t.obs "consensus.estimates";
+    Obs.incr t.obs c_estimates;
     let sp =
       if Obs.tracing t.obs then
         Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"estimate"
@@ -371,7 +378,7 @@ let handle_propose t s ~src ~round ~value =
       s.acked_rounds <- round :: s.acked_rounds;
       s.estimate <- Some value;
       s.ts <- round;
-      Obs.incr t.obs "consensus.acks";
+      Obs.incr t.obs c_acks;
       let sp =
         if Obs.tracing t.obs then
           Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"ack"

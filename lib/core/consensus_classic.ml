@@ -3,6 +3,13 @@ open Repro_net
 open Repro_fd
 module Obs = Repro_obs.Obs
 
+(* Metric handles, resolved once (see [Obs.Metric.schema]). *)
+let c_acks = Obs.Metric.counter "consensus.acks"
+let c_decisions = Obs.Metric.counter "consensus.decisions"
+let c_estimates = Obs.Metric.counter "consensus.estimates"
+let c_proposals = Obs.Metric.counter "consensus.proposals"
+let h_decide_ms = Obs.Metric.histogram "consensus.decide_ms"
+
 type inst_state = {
   inst : int;
   created_at : Time.t;
@@ -115,9 +122,9 @@ let decide t s value =
       (fun q -> t.send ~dst:q (Msg.Decision_full { inst = s.inst; value }))
       s.pending_requesters;
     s.pending_requesters <- [];
-    Obs.incr t.obs "consensus.decisions";
+    Obs.incr t.obs c_decisions;
     if Obs.enabled t.obs then
-      Obs.observe_since t.obs "consensus.decide_ms" s.created_at;
+      Obs.observe_since t.obs h_decide_ms s.created_at;
     let sp =
       if Obs.tracing t.obs then begin
         Obs.event t.obs ~pid:t.me ~layer:`Consensus ~phase:"decide"
@@ -177,7 +184,7 @@ let rec try_propose t s ~round =
         s.estimate <- Some value;
         s.ts <- round;
         Hashtbl.replace s.acks round (ref [ t.me ]);
-        Obs.incr t.obs "consensus.proposals";
+        Obs.incr t.obs c_proposals;
         let sp =
           if Obs.tracing t.obs then begin
             Obs.event t.obs ~pid:t.me ~layer:`Consensus ~phase:"propose"
@@ -218,7 +225,7 @@ and enter_round t s ~round =
       let c = coord t ~round in
       record_estimate s ~round ~src:t.me ~ts:s.ts ~value;
       if c <> t.me then begin
-        Obs.incr t.obs "consensus.estimates";
+        Obs.incr t.obs c_estimates;
         let sp =
           if Obs.tracing t.obs then
             Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"estimate"
@@ -286,7 +293,7 @@ let handle_propose t s ~src ~round ~value =
     else begin
       s.estimate <- Some value;
       s.ts <- round;
-      Obs.incr t.obs "consensus.acks";
+      Obs.incr t.obs c_acks;
       let sp =
         if Obs.tracing t.obs then
           Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"ack"

@@ -97,6 +97,14 @@ val payload_bytes : t -> int
 val kind : t -> string
 (** Constructor name, for traces and per-kind accounting. *)
 
+val kind_names : string array
+(** Every constructor name, indexed by {!kind_index}. *)
+
+val kind_index : t -> int
+
+val kinds : t Repro_net.Network.kinds
+(** {!kind_names} and {!kind_index}, for a network carrying bare [Msg.t]. *)
+
 val layer : t -> Repro_obs.Obs.layer
 (** The protocol layer the message belongs to, for the per-layer traffic
     counters: [Diffuse] is abcast dissemination; [Estimate], [Propose],

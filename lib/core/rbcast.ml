@@ -1,6 +1,11 @@
 open Repro_net
 module Obs = Repro_obs.Obs
 
+(* Metric handles, resolved once (see [Obs.Metric.schema]). *)
+let c_broadcasts = Obs.Metric.counter "rbcast.broadcasts"
+let c_delivers = Obs.Metric.counter "rbcast.delivers"
+let c_relays = Obs.Metric.counter "rbcast.relays"
+
 type 'p t = {
   me : Pid.t;
   n : int;
@@ -30,8 +35,8 @@ let rbcast t payload =
   let meta = { Msg.rb_origin = t.me; rb_seq = t.next_seq } in
   t.next_seq <- t.next_seq + 1;
   Id_table.add t.seen ~origin:meta.rb_origin ~seq:meta.rb_seq;
-  Obs.incr t.obs "rbcast.broadcasts";
-  Obs.incr t.obs "rbcast.delivers";
+  Obs.incr t.obs c_broadcasts;
+  Obs.incr t.obs c_delivers;
   let sp =
     if Obs.tracing t.obs then begin
       Obs.event t.obs ~pid:t.me ~layer:`Rbcast ~phase:"rbcast"
@@ -60,7 +65,7 @@ let receive t ~src:_ ~meta payload =
   let origin = meta.Msg.rb_origin and seq = meta.Msg.rb_seq in
   if not (Id_table.mem t.seen ~origin ~seq) then begin
     Id_table.add t.seen ~origin ~seq;
-    Obs.incr t.obs "rbcast.delivers";
+    Obs.incr t.obs c_delivers;
     let sp =
       if Obs.tracing t.obs then begin
         Obs.event t.obs ~pid:t.me ~layer:`Rbcast ~phase:"rdeliver"
@@ -75,7 +80,7 @@ let receive t ~src:_ ~meta payload =
     Obs.with_span_ctx t.obs sp (fun () ->
         t.deliver ~meta payload;
         if should_relay t ~origin:meta.Msg.rb_origin then begin
-          Obs.incr t.obs "rbcast.relays";
+          Obs.incr t.obs c_relays;
           send_to_others t ~meta payload
         end)
   end

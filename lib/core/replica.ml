@@ -4,6 +4,9 @@ open Repro_fd
 open Repro_framework
 module Obs = Repro_obs.Obs
 
+(* Metric handles, resolved once (see [Obs.Metric.schema]). *)
+let c_corrupt_detected = Obs.Metric.counter "net.corrupt_detected"
+
 type kind = Modular | Monolithic | Indirect
 
 type fd_mode =
@@ -465,7 +468,7 @@ let create ~kind ~params ~net ~me ?(fd_mode = `Good_run) ?(record_deliveries = t
     end
     | Wire_msg.Tampered inner ->
       if params.Params.checksums then begin
-        if Obs.enabled t.obs then Obs.incr t.obs "net.corrupt_detected";
+        if Obs.enabled t.obs then Obs.incr t.obs c_corrupt_detected;
         if Obs.tracing t.obs then
           Obs.event t.obs ~pid:t.me ~layer:(Wire_msg.layer inner) ~phase:"drop"
             ~detail:("checksum: " ^ Wire_msg.kind inner) ();

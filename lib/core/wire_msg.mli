@@ -29,7 +29,11 @@ val payload_bytes : t -> int
 
 val kind : t -> string
 (** The inner {!Msg.kind}, or ["channel-ack"]; tampered copies are
-    prefixed ["tampered-"]. *)
+    prefixed ["tampered-"] (once: the adversary never re-tampers a
+    tampered copy). *)
+
+val kinds : t Network.kinds
+(** The kinds above as a closed set, for [Network.create]. *)
 
 val layer : t -> Repro_obs.Obs.layer
 (** The inner {!Msg.layer}; channel acks bill to the [`Net] layer. *)

@@ -4,6 +4,7 @@ open Repro_core
 open Repro_workload
 module Obs = Repro_obs.Obs
 module Jsonl = Repro_obs.Jsonl
+module Stats = Repro_obs.Stats
 
 type row = {
   kind : Replica.kind;
@@ -72,9 +73,9 @@ let run ?(kinds = [ Replica.Modular; Replica.Monolithic ]) ?(offered_load = 1000
         let prefix =
           Printf.sprintf "study.%s.%s" (Experiment.kind_name kind) scenario
         in
-        Obs.set_gauge obs (prefix ^ ".latency_ms")
-          result.Experiment.early_latency_ms.Stats.mean;
-        Obs.set_gauge obs (prefix ^ ".throughput") result.Experiment.throughput
+        let gauge metric = Obs.resolve_gauge obs (prefix ^ metric) in
+        Obs.set_gauge obs (gauge ".latency_ms") result.Experiment.early_latency_ms.Stats.mean;
+        Obs.set_gauge obs (gauge ".throughput") result.Experiment.throughput
       end;
       row)
     cells
@@ -204,9 +205,9 @@ let run_adversary
           Printf.sprintf "study.adv.%s.%s" (Experiment.kind_name kind)
             level.Adversary.name
         in
-        Obs.set_gauge obs (prefix ^ ".latency_ms")
-          result.Experiment.early_latency_ms.Stats.mean;
-        Obs.set_gauge obs (prefix ^ ".throughput") result.Experiment.throughput
+        let gauge metric = Obs.resolve_gauge obs (prefix ^ metric) in
+        Obs.set_gauge obs (gauge ".latency_ms") result.Experiment.early_latency_ms.Stats.mean;
+        Obs.set_gauge obs (gauge ".throughput") result.Experiment.throughput
       end;
       row)
     cells

@@ -1,47 +1,20 @@
 type snapshot = { messages : int; payload_bytes : int; wire_bytes : int }
 
-(* Native counters rather than the previous shim over a private [Obs.t]:
-   [record_send] runs once per wire copy, squarely on the transmit hot
-   path, and the shim paid two string builds plus five string-keyed
-   hashtable updates per copy. Here the totals are three int stores, the
-   per-sender counts an int-array slot, and only the per-kind split still
-   touches a (small, interned-key) hashtable. *)
-type t = {
-  mutable messages : int;
-  mutable payload : int;
-  mutable wire : int;
-  sent : int array; (* messages per source pid *)
-  kinds : (string, int ref) Hashtbl.t; (* messages per protocol kind *)
-}
+(* Three plain totals: [record_send] runs once per wire copy, on every
+   run, observed or not. The per-layer and per-kind split lives in the
+   [net.*] counters of an enabled [Obs] sink. *)
+type t = { mutable messages : int; mutable payload : int; mutable wire : int }
 
 let zero = { messages = 0; payload_bytes = 0; wire_bytes = 0 }
+let create () = { messages = 0; payload = 0; wire = 0 }
 
-let create ~n =
-  {
-    messages = 0;
-    payload = 0;
-    wire = 0;
-    sent = Array.make n 0;
-    kinds = Hashtbl.create 16;
-  }
-
-let record_send t ~src ~kind ~payload_bytes ~wire_bytes =
+let record_send t ~payload_bytes ~wire_bytes =
   t.messages <- t.messages + 1;
   t.payload <- t.payload + payload_bytes;
-  t.wire <- t.wire + wire_bytes;
-  t.sent.(src) <- t.sent.(src) + 1;
-  match Hashtbl.find t.kinds kind with
-  | slot -> incr slot
-  | exception Not_found -> Hashtbl.add t.kinds kind (ref 1)
-
-let by_kind t =
-  Hashtbl.fold (fun kind slot acc -> (kind, !slot) :: acc) t.kinds []
-  |> List.sort compare
+  t.wire <- t.wire + wire_bytes
 
 let snapshot t =
   { messages = t.messages; payload_bytes = t.payload; wire_bytes = t.wire }
-
-let sent_by t p = t.sent.(p)
 
 let diff (later : snapshot) (earlier : snapshot) =
   {
@@ -54,29 +27,11 @@ let pp_snapshot ppf (s : snapshot) =
   Fmt.pf ppf "%d msgs, %d B payload, %d B on wire" s.messages s.payload_bytes
     s.wire_bytes
 
-type dump = {
-  d_messages : int;
-  d_payload : int;
-  d_wire : int;
-  d_sent : int array;
-  d_kinds : (string * int) list;
-}
+type dump = { d_messages : int; d_payload : int; d_wire : int }
 
-let dump t =
-  {
-    d_messages = t.messages;
-    d_payload = t.payload;
-    d_wire = t.wire;
-    d_sent = Array.copy t.sent;
-    d_kinds = by_kind t;
-  }
+let dump t = { d_messages = t.messages; d_payload = t.payload; d_wire = t.wire }
 
 let load t d =
-  if Array.length d.d_sent <> Array.length t.sent then
-    invalid_arg "Net_stats.load: group size mismatch";
   t.messages <- d.d_messages;
   t.payload <- d.d_payload;
-  t.wire <- d.d_wire;
-  Array.blit d.d_sent 0 t.sent 0 (Array.length t.sent);
-  Hashtbl.reset t.kinds;
-  List.iter (fun (k, v) -> Hashtbl.add t.kinds k (ref v)) d.d_kinds
+  t.wire <- d.d_wire

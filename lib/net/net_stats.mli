@@ -6,11 +6,9 @@
     physically leaves a NIC is recorded here. Local (self) deliveries are
     not counted, matching the paper's accounting.
 
-    {2 Determinism obligations}
-
-    - Counters are pure accumulators over the (deterministic) send
-      history; {!by_kind} sorts its result by kind name so no
-      hash-ordered iteration reaches reports. *)
+    These are the run-wide totals only; the split by protocol layer and
+    by message kind is in the [net.*] counters of an enabled
+    [Repro_obs.Obs] sink. *)
 
 type t
 
@@ -20,21 +18,14 @@ type snapshot = {
   wire_bytes : int;  (** Bytes including per-message framing. *)
 }
 
-val create : n:int -> t
-(** Fresh zeroed counters for an [n]-process system. *)
+val create : unit -> t
+(** Fresh zeroed counters. *)
 
-val record_send :
-  t -> src:Pid.t -> kind:string -> payload_bytes:int -> wire_bytes:int -> unit
-(** Count one message of the given protocol kind leaving [src]'s NIC. *)
-
-val by_kind : t -> (string * int) list
-(** Message counts per protocol kind since creation, sorted by kind. *)
+val record_send : t -> payload_bytes:int -> wire_bytes:int -> unit
+(** Count one message leaving a NIC. *)
 
 val snapshot : t -> snapshot
 (** Current totals. *)
-
-val sent_by : t -> Pid.t -> int
-(** Messages sent by one process since creation. *)
 
 val diff : snapshot -> snapshot -> snapshot
 (** [diff later earlier] is the traffic between two snapshots. *)
@@ -49,18 +40,10 @@ val pp_snapshot : snapshot Fmt.t
     split by protocol layer, observe the run with [Repro_obs.Obs] (the
     [net.msgs.*] / [net.*_bytes.*] counters). *)
 
-type dump = {
-  d_messages : int;
-  d_payload : int;
-  d_wire : int;
-  d_sent : int array;
-  d_kinds : (string * int) list;  (** sorted by kind *)
-}
-(** The full counter state as pure data, for {!Network}'s snapshot
-    payload. [d_kinds] is sorted, so a dump is a canonical value. *)
+type dump = { d_messages : int; d_payload : int; d_wire : int }
+(** The counter state as pure data, for {!Network}'s snapshot payload. *)
 
 val dump : t -> dump
 
 val load : t -> dump -> unit
-(** Overwrite the live counters with a dump's.
-    @raise Invalid_argument if the per-sender array sizes differ. *)
+(** Overwrite the live counters with a dump's. *)

@@ -1,6 +1,14 @@
 open Repro_sim
 module Obs = Repro_obs.Obs
 
+(* Metric handles, resolved once (see [Obs.Metric.schema]). *)
+let c_adv_corrupted = Obs.Metric.counter "net.adv.corrupted"
+let c_adv_dropped = Obs.Metric.counter "net.adv.dropped"
+let c_adv_duplicated = Obs.Metric.counter "net.adv.duplicated"
+let c_adv_equivocated = Obs.Metric.counter "net.adv.equivocated"
+let c_adv_reordered = Obs.Metric.counter "net.adv.reordered"
+let c_dropped_msgs = Obs.Metric.counter "net.dropped_msgs"
+
 type 'msg node = {
   cpu : Cpu.t;
   mutable nic_free_at : Time.t;
@@ -75,6 +83,8 @@ type 'msg link = {
   mutable l_key_seq : int;
 }
 
+type 'msg kinds = { names : string array; index : 'msg -> int }
+
 type 'msg t = {
   engine : Engine.t;
   wire : Wire.t;
@@ -92,16 +102,17 @@ type 'msg t = {
      per-message, the membership is static. *)
   others : Pid.t list array;
   payload_bytes : 'msg -> int;
-  kind_of : 'msg -> string;
+  kinds : 'msg kinds;
   layer_of : 'msg -> Obs.layer;
   obs : Obs.t;
   stats : Net_stats.t;
-  (* Counter names interned up front ([net.msgs.<layer>], …): building
-     them per copy put two string concatenations on every transmit. *)
-  ctr_msgs : string array;
-  ctr_payload : string array;
-  ctr_wire : string array;
-  kind_ctrs : (string, string) Hashtbl.t;
+  (* Counter handles resolved on [obs] up front, per layer
+     ([net.msgs.<layer>], …) and per kind ([net.kind_msgs.<kind>]), so
+     accounting a copy is four array stores. *)
+  ctr_msgs : Obs.Metric.counter array;
+  ctr_payload : Obs.Metric.counter array;
+  ctr_wire : Obs.Metric.counter array;
+  ctr_kinds : Obs.Metric.counter array;
   (* Batched hops: in-flight copies live in flat per-link frame rings and
      re-enter the engine through its cosource merge, instead of one queue
      event (and one closure) per copy. Byte-identical to the unbatched
@@ -259,13 +270,7 @@ let adversary_stats t =
       adv_equivocated = a.equivocated;
     }
 
-let kind_counter t kind =
-  match Hashtbl.find t.kind_ctrs kind with
-  | name -> name
-  | exception Not_found ->
-    let name = "net.kind_msgs." ^ kind in
-    Hashtbl.add t.kind_ctrs kind name;
-    name
+let kind_of t msg = t.kinds.names.(t.kinds.index msg)
 
 (* [sid] is the transmit span of the copy being delivered, so the receive
    span parents across the wire hop. The receive span is stamped at the
@@ -279,7 +284,7 @@ let deliver t ~src ~dst ~sid msg =
     let rx =
       if Obs.tracing t.obs then
         Obs.span t.obs ~parent:sid ~pid:dst ~layer:(t.layer_of msg) ~phase:"rx"
-          ~detail:(t.kind_of msg) ()
+          ~detail:(kind_of t msg) ()
       else Obs.Span.no_parent
     in
     let cost = Wire.recv_cpu_cost t.wire ~payload_bytes:(t.payload_bytes msg) in
@@ -290,7 +295,7 @@ let deliver t ~src ~dst ~sid msg =
             if Obs.tracing t.obs then begin
               Obs.event t.obs ~pid:dst ~layer:(t.layer_of msg) ~phase:"rx"
                 ~detail:
-                  (Printf.sprintf "%s <- p%d" (t.kind_of msg) (src + 1))
+                  (Printf.sprintf "%s <- p%d" (kind_of t msg) (src + 1))
                 ();
               Obs.set_span_ctx t.obs rx
             end;
@@ -477,7 +482,7 @@ let frames_in_flight t =
         acc row)
     0 t.links
 
-let create engine ?(wire = Wire.default) ?topology ?(kind_of = fun _ -> "msg")
+let create engine ?(wire = Wire.default) ?topology ?kinds
     ?(layer_of = fun _ -> `Net) ?(obs = Obs.noop) ?(batched = true) ~n
     ~payload_bytes () =
   if n < 1 then invalid_arg "Network.create: n must be >= 1";
@@ -494,8 +499,16 @@ let create engine ?(wire = Wire.default) ?topology ?(kind_of = fun _ -> "msg")
   let topology =
     match topology with Some t -> t | None -> Topology.uniform wire.Wire.propagation
   in
+  let kinds =
+    match kinds with Some k -> k | None -> { names = [| "msg" |]; index = (fun _ -> 0) }
+  in
+  (* Only an enabled sink is ever updated ([record_tx] runs under
+     [Obs.enabled]), so only it needs handles, or the names behind them. *)
+  let counters name items =
+    if Obs.enabled obs then Array.map (fun x -> Obs.resolve_counter obs (name x)) items else [||]
+  in
   let layers = Array.of_list Obs.all_layers in
-  let interned prefix = Array.map (fun l -> prefix ^ Obs.layer_name l) layers in
+  let per_layer prefix = counters (fun l -> prefix ^ Obs.layer_name l) layers in
   let t =
     {
       engine;
@@ -507,14 +520,14 @@ let create engine ?(wire = Wire.default) ?topology ?(kind_of = fun _ -> "msg")
       cut = Array.init n (fun _ -> Array.make n false);
       others = Array.init n (fun p -> Pid.others ~n p);
       payload_bytes;
-      kind_of;
+      kinds;
       layer_of;
       obs;
-      stats = Net_stats.create ~n;
-      ctr_msgs = interned "net.msgs.";
-      ctr_payload = interned "net.payload_bytes.";
-      ctr_wire = interned "net.wire_bytes.";
-      kind_ctrs = Hashtbl.create 16;
+      stats = Net_stats.create ();
+      ctr_msgs = per_layer "net.msgs.";
+      ctr_payload = per_layer "net.payload_bytes.";
+      ctr_wire = per_layer "net.wire_bytes.";
+      ctr_kinds = counters (fun k -> "net.kind_msgs." ^ k) kinds.names;
       batched;
       links = Array.init n (fun _ -> Array.make n None);
       h_links = [||];
@@ -537,13 +550,11 @@ let record_tx t ~parent ~src ~dst msg ~payload_bytes =
   let layer = t.layer_of msg in
   let li = layer_index layer in
   Obs.incr t.obs t.ctr_msgs.(li);
-  Obs.incr t.obs ~by:payload_bytes t.ctr_payload.(li);
-  Obs.incr t.obs
-    ~by:(Wire.on_wire_bytes t.wire ~payload_bytes)
-    t.ctr_wire.(li);
-  Obs.incr t.obs (kind_counter t (t.kind_of msg));
+  Obs.add t.obs t.ctr_payload.(li) payload_bytes;
+  Obs.add t.obs t.ctr_wire.(li) (Wire.on_wire_bytes t.wire ~payload_bytes);
+  Obs.incr t.obs t.ctr_kinds.(t.kinds.index msg);
   if Obs.tracing t.obs then begin
-    let detail = Printf.sprintf "%s -> p%d" (t.kind_of msg) (dst + 1) in
+    let detail = Printf.sprintf "%s -> p%d" (kind_of t msg) (dst + 1) in
     Obs.event t.obs ~pid:src ~layer ~phase:"tx" ~detail ();
     Obs.span t.obs ~parent ~pid:src ~layer ~phase:"tx" ~detail ()
   end
@@ -576,7 +587,7 @@ let deliver_local t ~src msg =
             if Obs.tracing t.obs then begin
               let local =
                 Obs.span t.obs ~parent ~pid:src ~layer:(t.layer_of msg)
-                  ~phase:"local" ~detail:(t.kind_of msg) ()
+                  ~phase:"local" ~detail:(kind_of t msg) ()
               in
               Obs.set_span_ctx t.obs local
             end;
@@ -608,7 +619,7 @@ let transmit_copy t ?(adv_drop = false) ~src ~dst ~payload_bytes ~parent msg =
       match adv.mutators.corrupt msg with
       | Some tampered ->
         adv.corrupted <- adv.corrupted + 1;
-        if Obs.enabled t.obs then Obs.incr t.obs "net.adv.corrupted";
+        if Obs.enabled t.obs then Obs.incr t.obs c_adv_corrupted;
         tampered
       | None -> msg)
     | _ -> msg
@@ -619,7 +630,7 @@ let transmit_copy t ?(adv_drop = false) ~src ~dst ~payload_bytes ~parent msg =
   let tx_end = Time.add tx_start tx_time in
   sender.nic_free_at <- tx_end;
   sender.nic_busy_ns <- sender.nic_busy_ns + Time.span_to_ns tx_time;
-  Net_stats.record_send t.stats ~src ~kind:(t.kind_of msg) ~payload_bytes
+  Net_stats.record_send t.stats ~payload_bytes
     ~wire_bytes:(Wire.on_wire_bytes t.wire ~payload_bytes);
   let tx_sid =
     if Obs.enabled t.obs then record_tx t ~parent ~src ~dst msg ~payload_bytes
@@ -629,7 +640,7 @@ let transmit_copy t ?(adv_drop = false) ~src ~dst ~payload_bytes ~parent msg =
     (match t.adversary with
     | Some adv -> adv.dropped <- adv.dropped + 1
     | None -> ());
-    if Obs.enabled t.obs then Obs.incr t.obs "net.adv.dropped"
+    if Obs.enabled t.obs then Obs.incr t.obs c_adv_dropped
   end;
   let dropped =
     adv_drop
@@ -661,7 +672,7 @@ let transmit_copy t ?(adv_drop = false) ~src ~dst ~payload_bytes ~parent msg =
         in
         if extra > 0 then begin
           adv.reordered <- adv.reordered + 1;
-          if Obs.enabled t.obs then Obs.incr t.obs "net.adv.reordered"
+          if Obs.enabled t.obs then Obs.incr t.obs c_adv_reordered
         end;
         Time.add arrival (Time.span_ns extra)
       | _ -> arrival
@@ -683,20 +694,20 @@ let transmit_copy t ?(adv_drop = false) ~src ~dst ~payload_bytes ~parent msg =
       when adv.duplicate_rate > 0.0
            && Repro_sim.Rng.float adv.adv_rng 1.0 < adv.duplicate_rate ->
       adv.duplicated <- adv.duplicated + 1;
-      if Obs.enabled t.obs then Obs.incr t.obs "net.adv.duplicated";
+      if Obs.enabled t.obs then Obs.incr t.obs c_adv_duplicated;
       Engine.post_at t.engine
         (Time.add arrival (Time.span_us 1))
         (fun () -> deliver t ~src ~dst ~sid:tx_sid msg)
     | _ -> ()
   end
   else if Obs.enabled t.obs then begin
-    Obs.incr t.obs "net.dropped_msgs";
+    Obs.incr t.obs c_dropped_msgs;
     if Obs.tracing t.obs then begin
       Obs.event t.obs ~pid:src ~layer:(t.layer_of msg) ~phase:"drop"
-        ~detail:(t.kind_of msg) ();
+        ~detail:(kind_of t msg) ();
       ignore
         (Obs.span t.obs ~parent:tx_sid ~pid:src ~layer:(t.layer_of msg)
-           ~phase:"drop" ~detail:(t.kind_of msg) ())
+           ~phase:"drop" ~detail:(kind_of t msg) ())
     end
   end
 
@@ -749,7 +760,7 @@ let fanout t adv ~src ~payload_bytes ~parent ~copies dsts msg =
           when (not adv_drop) && !original_kept
                && Repro_sim.Rng.bool adv.adv_rng ->
           adv.equivocated <- adv.equivocated + 1;
-          if Obs.enabled t.obs then Obs.incr t.obs "net.adv.equivocated";
+          if Obs.enabled t.obs then Obs.incr t.obs c_adv_equivocated;
           (alt_msg, t.payload_bytes alt_msg)
         | _ ->
           if not adv_drop then original_kept := true;

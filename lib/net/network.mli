@@ -36,11 +36,20 @@ open Repro_sim
 type 'msg t
 (** A network carrying messages of type ['msg]. *)
 
+type 'msg kinds = {
+  names : string array;  (** Every kind's name, indexed by [index]. *)
+  index : 'msg -> int;  (** A message's kind, as an index into [names]. *)
+}
+(** The closed set of message kinds a network carries, for the per-kind
+    traffic counters ([net.kind_msgs.<kind>]) and trace details. Kinds
+    are dense indices so that counting a copy is an array read, not a
+    lookup by name. *)
+
 val create :
   Engine.t ->
   ?wire:Wire.t ->
   ?topology:Topology.t ->
-  ?kind_of:('msg -> string) ->
+  ?kinds:'msg kinds ->
   ?layer_of:('msg -> Repro_obs.Obs.layer) ->
   ?obs:Repro_obs.Obs.t ->
   ?batched:bool ->
@@ -50,8 +59,8 @@ val create :
   'msg t
 (** [create engine ~n ~payload_bytes ()] builds an [n]-process cluster.
     [payload_bytes] gives the serialized size of a message, used for both
-    timing and traffic accounting. [kind_of] (default: constant ["msg"])
-    labels messages for the per-kind statistics. [topology] overrides the
+    timing and traffic accounting. [kinds] (default: one kind, ["msg"])
+    labels messages for the per-kind counters. [topology] overrides the
     wire model's uniform propagation latency per link.
 
     [batched] (default [true]) selects the batched-hop wire path: each
@@ -233,7 +242,7 @@ val adversary_stats : _ t -> adversary_stats
 (** Cumulative injection counts since arming (all zero when unarmed). *)
 
 val stats : _ t -> Net_stats.t
-(** Live traffic counters (see {!Net_stats}). *)
+(** Live traffic totals (see {!Net_stats}). *)
 
 val section_name : string
 (** ["net.network"]. *)

@@ -1,6 +1,10 @@
 open Repro_sim
 module Obs = Repro_obs.Obs
 
+(* Metric handles, resolved once (see [Obs.Metric.schema]). *)
+let c_duplicates = Obs.Metric.counter "rchannel.duplicates"
+let c_retransmissions = Obs.Metric.counter "rchannel.retransmissions"
+
 type 'msg wire = Data of { seq : int; payload : 'msg } | Ack of { cumulative : int }
 
 (* Frames are pooled: a slot's frame is mutated in place when the window
@@ -155,7 +159,7 @@ let rec arm_timer t ~dst link =
                  let frame = frame_at link i in
                  frame.retransmitted <- true;
                  t.retransmissions <- t.retransmissions + 1;
-                 Obs.incr t.obs "rchannel.retransmissions";
+                 Obs.incr t.obs c_retransmissions;
                  (* The timer fires with no ambient context; parent the
                     retransmit to the span that caused the original send
                     so the copy that finally gets through keeps a chain
@@ -237,7 +241,7 @@ let handle_data t ~src ~seq ~payload =
       List.merge (fun (a, _) (b, _) -> compare a b) link.buffered [ (seq, payload) ];
     drain_in_order t ~src link
   end
-  else Obs.incr t.obs "rchannel.duplicates";
+  else Obs.incr t.obs c_duplicates;
   (* Always (re-)acknowledge what we have — lost acks are recovered by the
      sender's retransmission provoking a fresh one. *)
   t.send_raw ~dst:src (Ack { cumulative = link.expected - 1 })

@@ -40,10 +40,13 @@ val samples : t -> float list
 (** All recorded samples, in recording order. *)
 
 val absorb : into:t -> t -> unit
-(** [absorb ~into src] replays [src]'s samples onto [into], in [src]'s
-    recording order, leaving [src] unchanged. The two histograms must
-    share bucket edges.
+(** [absorb ~into src] appends [src]'s samples to [into], in [src]'s
+    recording order, and adds its bucket counts, leaving [src] unchanged:
+    the result equals observing the same samples one by one. The two
+    histograms must share bucket edges.
     @raise Invalid_argument when the edges differ. *)
 
 val summary : t -> Stats.summary
-(** Exact summary (mean, p50/p95/p99, …) over the retained samples. *)
+(** Exact summary (mean, p50/p95/p99, …) over the retained samples:
+    bit-identical to [Stats.summarize (samples t)], computed from one
+    sorted copy of the sample array without boxing a float. *)

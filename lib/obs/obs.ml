@@ -1,5 +1,6 @@
 open Repro_sim
 module Span = Span
+module Metric = Metric
 
 type layer = [ `Abcast | `Consensus | `Rbcast | `Net | `App ]
 
@@ -8,12 +9,24 @@ let all_layers : layer list = Span.all_layers
 
 type event = { at : Time.t; pid : int; layer : layer; phase : string; detail : string }
 
+(* One metric's value in a sink. [set] marks a counter or gauge written
+   at least once: only those are exported, a counter added 0 included. *)
+type slot = {
+  spec : Metric.spec;
+  mutable set : bool;
+  mutable count : int;
+  mutable value : float;
+  mutable hist : Histogram.t option;
+}
+
 type t = {
   enabled : bool;
   mutable now : unit -> Time.t;
-  counters : (string, int ref) Hashtbl.t;
-  gauges : (string, float ref) Hashtbl.t;
-  histograms : (string, Histogram.t) Hashtbl.t;
+  (* Indexed by handle: the schema's entries first (so the handles of
+     [Metric]'s plain entries are valid in every sink), then the family
+     instances and ad hoc names this sink has resolved, in resolution
+     order. *)
+  mutable slots : slot array;
   trace : event Trace.t;
   spans : Span.t Trace.t;
   max_events : int;
@@ -23,14 +36,15 @@ type t = {
   mutable ctx : int;
 }
 
+let n_static = Array.length Metric.schema
+let slot spec = { spec; set = false; count = 0; value = 0.0; hist = None }
+
 let make ~enabled ~max_events =
   let now = ref (fun () -> Time.zero) in
   {
     enabled;
     now = (fun () -> !now ());
-    counters = Hashtbl.create 64;
-    gauges = Hashtbl.create 16;
-    histograms = Hashtbl.create 16;
+    slots = Array.map slot Metric.schema;
     trace = Trace.create_with_clock (fun () -> !now ());
     spans = Trace.create_with_clock (fun () -> !now ());
     max_events;
@@ -74,66 +88,156 @@ let enabled t = t.enabled
 let tracing t = t.enabled && t.max_events > 0
 let now t = t.now ()
 
-(* ---- Metrics ---- *)
+(* ---- Metric resolution (cold) ---- *)
 
-(* [Hashtbl.find] + [Not_found] rather than [find_opt]: the option would
-   be a fresh allocation per bump, and counters are bumped on every wire
-   copy when a sink is enabled. *)
-let incr t ?(by = 1) name =
-  if t.enabled then
-    match Hashtbl.find t.counters name with
-    | slot -> slot := !slot + by
-    | exception Not_found -> Hashtbl.add t.counters name (ref by)
+(* The handle of a name this sink resolved past the schema (a scan, but
+   only cold code asks). *)
+let resolved t name =
+  let rec scan h =
+    if h >= Array.length t.slots then None
+    else if String.equal t.slots.(h).spec.Metric.name name then Some h
+    else scan (h + 1)
+  in
+  scan n_static
 
-let counter_value t name =
-  match Hashtbl.find_opt t.counters name with Some slot -> !slot | None -> 0
+(* The handle [name] has in this sink, if any: one it resolved, or a
+   plain schema entry. *)
+let handle_of_name t name =
+  match resolved t name with
+  | Some h -> Some h
+  | None -> (
+    match Metric.find name with
+    | Some i
+      when String.equal Metric.schema.(i).Metric.name name
+           && not (Metric.is_family Metric.schema.(i)) ->
+      Some i
+    | _ -> None)
 
-let counters t =
-  Hashtbl.fold (fun name slot acc -> (name, !slot) :: acc) t.counters []
-  |> List.sort compare
+let append t spec =
+  t.slots <- Array.append t.slots [| slot spec |];
+  Array.length t.slots - 1
 
-let set_gauge t name v =
-  if t.enabled then
-    match Hashtbl.find t.gauges name with
-    | slot -> slot := v
-    | exception Not_found -> Hashtbl.add t.gauges name (ref v)
+(* Resolve [name] as a [kind]: a plain schema entry's constant handle, or
+   a family instance or ad hoc name declared in this sink once. A
+   declared name must be resolved as the kind (and, for histograms, with
+   the edges) it was declared with; an ad hoc name takes the fixed
+   defaults. Only [absorb] and [restore] pass [edges], to carry a
+   histogram's declaration over from another sink. A disabled sink
+   records nothing, so it answers a placeholder handle that is never
+   dereferenced (every update is guarded by [enabled]) and checks
+   nothing: components resolve their handles on [noop] for free. *)
+let resolve kind t ?edges name =
+  let agree (declared : Metric.spec) =
+    let wanted =
+      { declared with Metric.kind; edges = Option.value edges ~default:declared.Metric.edges }
+    in
+    match Metric.conflict declared wanted with
+    | None -> ()
+    | Some why -> invalid_arg (Printf.sprintf "Obs: metric %S declared twice: %s" name why)
+  in
+  if not t.enabled then 0
+  else
+    match resolved t name with
+    | Some h ->
+      agree t.slots.(h).spec;
+      h
+    | None -> (
+      match Metric.find name with
+      | Some i ->
+        let spec = Metric.schema.(i) in
+        agree spec;
+        if Metric.is_family spec then append t { spec with Metric.name } else i
+      | None ->
+        let default_edges = if kind = Metric.Histogram then Histogram.default_edges else [||] in
+        append t
+          {
+            Metric.name;
+            kind;
+            unit = "count";
+            layer = `Run;
+            det = Metric.Deterministic;
+            edges = Option.value edges ~default:default_edges;
+          })
 
-let gauge_value t name =
-  match Hashtbl.find_opt t.gauges name with Some slot -> Some !slot | None -> None
+let resolve_counter t name = Metric.counter_of_int (resolve Metric.Counter t name)
+let resolve_gauge t name = Metric.gauge_of_int (resolve Metric.Gauge t name)
+let resolve_histogram t name = Metric.histogram_of_int (resolve Metric.Histogram t name)
 
-let gauges t =
-  Hashtbl.fold (fun name slot acc -> (name, !slot) :: acc) t.gauges []
-  |> List.sort compare
+(* ---- Metric updates (hot) ---- *)
 
-let histogram t ?edges name =
-  match Hashtbl.find t.histograms name with
-  | h -> h
-  | exception Not_found ->
-    let h = Histogram.create ?edges () in
-    Hashtbl.add t.histograms name h;
-    h
+let incr t (h : Metric.counter) =
+  if t.enabled then begin
+    let s = t.slots.((h :> int)) in
+    s.count <- s.count + 1;
+    s.set <- true
+  end
 
-let observe t ?edges name v = if t.enabled then Histogram.observe (histogram t ?edges name) v
+let add t (h : Metric.counter) by =
+  if t.enabled then begin
+    let s = t.slots.((h :> int)) in
+    s.count <- s.count + by;
+    s.set <- true
+  end
 
-let observe_span t ?edges name span =
-  if t.enabled then Histogram.observe_span (histogram t ?edges name) span
+let set_gauge t (h : Metric.gauge) v =
+  if t.enabled then begin
+    let s = t.slots.((h :> int)) in
+    s.value <- v;
+    s.set <- true
+  end
 
-let observe_since t ?edges name since =
+let histogram t h =
+  let s = t.slots.(h) in
+  match s.hist with
+  | Some hist -> hist
+  | None ->
+    let hist = Histogram.create ~edges:s.spec.Metric.edges () in
+    s.hist <- Some hist;
+    hist
+
+let observe t (h : Metric.histogram) v =
+  if t.enabled then Histogram.observe (histogram t (h :> int)) v
+
+let observe_span t (h : Metric.histogram) span =
+  if t.enabled then Histogram.observe_span (histogram t (h :> int)) span
+
+let observe_since t (h : Metric.histogram) since =
   if t.enabled then
     let at = t.now () in
     (* A sink whose clock was never wired (or an event stamped before the
        clock advanced) must not crash the protocol it observes. *)
     if Time.(at >= since) then
-      Histogram.observe_span (histogram t ?edges name) (Time.diff at since)
+      Histogram.observe_span (histogram t (h :> int)) (Time.diff at since)
+
+(* ---- Metric reads (by name, cold) ---- *)
+
+let lookup t kind name =
+  match handle_of_name t name with
+  | Some h when t.slots.(h).spec.Metric.kind = kind -> Some t.slots.(h)
+  | _ -> None
+
+let counter_value t name =
+  match lookup t Metric.Counter name with Some s when s.set -> s.count | _ -> 0
+
+let gauge_value t name =
+  match lookup t Metric.Gauge name with Some s when s.set -> Some s.value | _ -> None
 
 let histogram_summary t name =
-  match Hashtbl.find_opt t.histograms name with
-  | Some h -> Some (Histogram.summary h)
+  match lookup t Metric.Histogram name with
+  | Some s -> Option.map Histogram.summary s.hist
   | None -> None
 
-let histograms t =
-  Hashtbl.fold (fun name h acc -> (name, h) :: acc) t.histograms []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+(* Every recorded metric of one kind, sorted by name. *)
+let recorded t kind value =
+  Array.to_list t.slots
+  |> List.filter_map (fun s ->
+         if s.spec.Metric.kind = kind then Option.map (fun v -> (s.spec.Metric.name, v)) (value s)
+         else None)
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let counters t = recorded t Metric.Counter (fun s -> if s.set then Some s.count else None)
+let gauges t = recorded t Metric.Gauge (fun s -> if s.set then Some s.value else None)
+let histograms t = recorded t Metric.Histogram (fun s -> s.hist)
 
 (* ---- Trace ---- *)
 
@@ -205,12 +309,22 @@ let dropped_spans t = t.dropped_spans
 
 let absorb dst src =
   if dst.enabled && src.enabled then begin
-    List.iter (fun (name, v) -> incr dst ~by:v name) (counters src);
-    List.iter (fun (name, v) -> set_gauge dst name v) (gauges src);
-    List.iter
-      (fun (name, h) ->
-        Histogram.absorb ~into:(histogram dst ~edges:(Histogram.edges h) name) h)
-      (histograms src);
+    (* Handles below [n_static] mean the same metric in every sink; the
+       rest are redeclared in [dst] by name, once per absorbed metric. *)
+    Array.iteri
+      (fun h s ->
+        let into () =
+          let { Metric.name; kind; edges; _ } = s.spec in
+          if h < n_static then h else resolve kind dst ~edges name
+        in
+        match s.spec.Metric.kind with
+        | Metric.Counter -> if s.set then add dst (Metric.counter_of_int (into ())) s.count
+        | Metric.Gauge -> if s.set then set_gauge dst (Metric.gauge_of_int (into ())) s.value
+        | Metric.Histogram -> (
+          match s.hist with
+          | Some hist -> Histogram.absorb ~into:(histogram dst (into ())) hist
+          | None -> ()))
+      src.slots;
     dst.dropped_events <-
       dst.dropped_events + src.dropped_events
       + Trace.absorb ~limit:dst.max_events ~into:dst.trace src.trace;
@@ -276,12 +390,21 @@ let snapshot ?(name = "obs.sink") t =
 let restore ?(name = "obs.sink") t s =
   Snap.check s ~name ~version:1;
   let (d : obs_data) = Snap.unpack_data s in
-  Hashtbl.reset t.counters;
-  List.iter (fun (k, v) -> Hashtbl.add t.counters k (ref v)) d.od_counters;
-  Hashtbl.reset t.gauges;
-  List.iter (fun (k, v) -> Hashtbl.add t.gauges k (ref v)) d.od_gauges;
-  Hashtbl.reset t.histograms;
-  List.iter (fun (k, h) -> Hashtbl.add t.histograms k h) d.od_histograms;
+  (* Handles already resolved on this sink stay valid; only values reset. *)
+  Array.iter
+    (fun s ->
+      s.set <- false;
+      s.count <- 0;
+      s.value <- 0.0;
+      s.hist <- None)
+    t.slots;
+  List.iter (fun (k, v) -> add t (resolve_counter t k) v) d.od_counters;
+  List.iter (fun (k, v) -> set_gauge t (resolve_gauge t k) v) d.od_gauges;
+  List.iter
+    (fun (k, hist) ->
+      let h = resolve Metric.Histogram t ~edges:(Histogram.edges hist) k in
+      t.slots.(h).hist <- Some hist)
+    d.od_histograms;
   t.dropped_events <- d.od_dropped_events;
   t.dropped_spans <- d.od_dropped_spans;
   t.next_sid <- d.od_next_sid;

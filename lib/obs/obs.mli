@@ -8,7 +8,8 @@ open Repro_sim
     instrumentation costs a single branch when observation is off and
     existing call sites need no change.
 
-    Three metric families, all keyed by dotted names:
+    Three metric kinds, all named by dotted names declared once in
+    {!Metric.schema}:
 
     - {e counters} — monotone event counts (messages per layer, acks,
       retransmissions, …);
@@ -78,7 +79,7 @@ val create_like : t -> t
 val absorb : t -> t -> unit
 (** [absorb dst src] appends everything [src] recorded onto [dst], in
     [src]'s recording order: counters add, gauges overwrite, histogram
-    samples replay, trace events and spans append (respecting [dst]'s
+    samples append, trace events and spans append (respecting [dst]'s
     [max_events] cap, excess counted as dropped), and span ids — parents
     included — are renumbered past every id [dst] has allocated, so
     absorbing per-task sinks in task order reproduces byte-for-byte the
@@ -104,31 +105,60 @@ val tracing : t -> bool
 val now : t -> Time.t
 (** The sink's current clock reading. *)
 
-(** {1 Counters} *)
+(** {1 Metrics}
 
-val incr : t -> ?by:int -> string -> unit
+    Every metric is declared in {!Metric.schema} and updated through a
+    {!Metric} handle, so an update is one [enabled] branch and an array
+    store. Handles of the schema's plain entries are module constants
+    ([Metric.counter "consensus.decisions"]); family instances and ad hoc
+    names are resolved against a sink once, by their owner, with the
+    [resolve_*] functions below, and are valid for that sink only. *)
+
+module Metric = Metric
+
+val resolve_counter : t -> string -> Metric.counter
+(** The handle of counter [name] in this sink. A name the schema covers
+    (itself or as an instance of a family) takes the schema's attributes;
+    any other name is declared ad hoc in this sink with fixed defaults
+    (unit ["count"], layer [`Run], deterministic). Resolving a name again
+    returns the same handle. A disabled sink answers a placeholder
+    handle and checks nothing, which is safe because every update of a
+    disabled sink is a no-op.
+    @raise Invalid_argument on an enabled sink when [name] is already
+    declared (in the schema or in this sink) as another kind. *)
+
+val resolve_gauge : t -> string -> Metric.gauge
+val resolve_histogram : t -> string -> Metric.histogram
+(** As {!resolve_counter}; an ad hoc histogram gets
+    {!Histogram.default_edges} (milliseconds). *)
+
+(** {2 Counters} *)
+
+val incr : t -> Metric.counter -> unit
+val add : t -> Metric.counter -> int -> unit
+
 val counter_value : t -> string -> int
 (** 0 if never incremented. *)
 
 val counters : t -> (string * int) list
-(** All counters, sorted by name. *)
+(** All counters written at least once, sorted by name. *)
 
-(** {1 Gauges} *)
+(** {2 Gauges} *)
 
-val set_gauge : t -> string -> float -> unit
+val set_gauge : t -> Metric.gauge -> float -> unit
 val gauge_value : t -> string -> float option
 val gauges : t -> (string * float) list
 
-(** {1 Histograms} *)
+(** {2 Histograms} *)
 
-val observe : t -> ?edges:float array -> string -> float -> unit
-(** Record a sample in the named histogram, created on first use with
-    [edges] (default {!Histogram.default_edges}, milliseconds). *)
+val observe : t -> Metric.histogram -> float -> unit
+(** Record a sample in the histogram, created on first use with its
+    declared edges. *)
 
-val observe_span : t -> ?edges:float array -> string -> Time.span -> unit
+val observe_span : t -> Metric.histogram -> Time.span -> unit
 (** {!observe} of a duration as fractional milliseconds. *)
 
-val observe_since : t -> ?edges:float array -> string -> Time.t -> unit
+val observe_since : t -> Metric.histogram -> Time.t -> unit
 (** Record [now - since] in milliseconds. Silently skipped when the clock
     has not reached [since] (e.g. on a sink whose clock was never wired). *)
 

@@ -36,6 +36,11 @@ module Campaign = Repro_fault.Campaign
 module Monitor = Repro_fault.Monitor
 module Schedule = Repro_fault.Schedule
 
+(* Metric handles, resolved once (see [Obs.Metric.schema]). *)
+let c_snapshots_taken = Obs.Metric.counter "snapshots_taken"
+let c_snapshot_bytes = Obs.Metric.counter "snapshot_bytes"
+let c_restore_count = Obs.Metric.counter "restore_count"
+
 exception Replay_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Replay_error s)) fmt
@@ -305,12 +310,11 @@ let record world ~every_ns ~descriptor ~path =
   let index = ref 0 in
   let engine = World.engine world in
   let take_frame () =
-    Obs.incr world.World.obs "snapshots_taken";
+    Obs.incr world.World.obs c_snapshots_taken;
     let sections = World.sections world in
     let meta = Snapshot.encode_sections sections in
     let blob = Marshal.to_string world [ Marshal.Closures ] in
-    Obs.incr world.World.obs ~by:(String.length meta + String.length blob)
-      "snapshot_bytes";
+    Obs.add world.World.obs c_snapshot_bytes (String.length meta + String.length blob);
     write_frame oc ~index:!index ~at_ns:(Time.to_ns (Engine.now engine)) ~meta ~blob;
     incr index
   in
@@ -340,7 +344,7 @@ let resume log k =
        bisect)"
       log.l_path;
   let world : World.t = Marshal.from_string log.l_frames.(k).f_blob 0 in
-  Obs.incr world.World.obs "restore_count";
+  Obs.incr world.World.obs c_restore_count;
   world
 
 (* Resume from frame [k] and run the suffix to completion, taking no new

@@ -2,6 +2,7 @@ open Repro_core
 open Repro_workload
 module Obs = Repro_obs.Obs
 module Jsonl = Repro_obs.Jsonl
+module Stats = Repro_obs.Stats
 
 type row = {
   row_kind : Replica.kind;
@@ -73,8 +74,9 @@ let run ?(kinds = all_kinds) ?(shard_counts = default_shards)
               in
               if Obs.enabled obs then begin
                 let tag metric =
-                  Fmt.str "scale.%s.s%d.c%d.%s" (Experiment.kind_name kind)
-                    shards nclients metric
+                  Obs.resolve_gauge obs
+                    (Fmt.str "scale.%s.s%d.c%d.%s" (Experiment.kind_name kind) shards
+                       nclients metric)
                 in
                 Obs.set_gauge obs (tag "latency_ms")
                   result.Shard.latency_ms.Stats.mean;

@@ -2,6 +2,7 @@ open Repro_core
 open Repro_workload
 module Obs = Repro_obs.Obs
 module Time = Repro_sim.Time
+module Stats = Repro_obs.Stats
 
 type config = {
   kind : Replica.kind;

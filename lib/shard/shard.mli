@@ -50,9 +50,9 @@ type result = {
   plan_total : int;  (** Requests in the plan (cross counted once). *)
   plan_cross : int;
   per_shard : Experiment.result array;
-  latency_ms : Stats.summary;
+  latency_ms : Repro_obs.Stats.summary;
       (** Single-shard requests abcast within the window. *)
-  cross_latency_ms : Stats.summary;
+  cross_latency_ms : Repro_obs.Stats.summary;
       (** Cross-shard requests, both legs delivered, issued within the
           window. *)
   throughput : float;  (** Completed requests/s (cross counted once). *)

@@ -2,6 +2,14 @@ open Repro_sim
 open Repro_net
 open Repro_core
 module Obs = Repro_obs.Obs
+module Stats = Repro_obs.Stats
+
+(* Metric handles, resolved once (see [Obs.Metric.schema]). *)
+let g_instances = Obs.Metric.gauge "run.instances"
+let g_window_s = Obs.Metric.gauge "run.window_s"
+let g_mean_batch = Obs.Metric.gauge "run.mean_batch"
+let g_throughput = Obs.Metric.gauge "run.throughput"
+let g_msgs_per_instance = Obs.Metric.gauge "run.msgs_per_instance"
 
 type config = {
   kind : Replica.kind;
@@ -134,11 +142,11 @@ let window_result ~obs config group s0 s1 =
   (* Run-level gauges: the window-normalized quantities the per-layer
      counters cannot express (those are cumulative and include warm-up). *)
   if Obs.enabled obs then begin
-    Obs.set_gauge obs "run.instances" (float_of_int instances);
-    Obs.set_gauge obs "run.window_s" window_s;
-    Obs.set_gauge obs "run.mean_batch" (float_of_int delivered_p1 /. finstances);
-    Obs.set_gauge obs "run.throughput" throughput;
-    Obs.set_gauge obs "run.msgs_per_instance"
+    Obs.set_gauge obs g_instances (float_of_int instances);
+    Obs.set_gauge obs g_window_s window_s;
+    Obs.set_gauge obs g_mean_batch (float_of_int delivered_p1 /. finstances);
+    Obs.set_gauge obs g_throughput throughput;
+    Obs.set_gauge obs g_msgs_per_instance
       (float_of_int delta.Net_stats.messages /. finstances)
   end;
   ( latencies,

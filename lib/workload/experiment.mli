@@ -48,7 +48,7 @@ val config :
 
 type result = {
   config : config;
-  early_latency_ms : Stats.summary;
+  early_latency_ms : Repro_obs.Stats.summary;
       (** Early latency L = (min over processes of adelivery time) - t0, in
           milliseconds, over messages abcast inside the window. *)
   throughput : float;

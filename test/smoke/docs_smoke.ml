@@ -1,10 +1,17 @@
-(* The @docs-smoke alias: keeps README's CLI quick-reference table in
-   lock-step with the binary. Parses the COMMANDS section of
-   `repro --help=plain` and the README table rows of the form
-   `| `repro NAME` | ... |`, and requires the two subcommand sets to be
-   identical — adding, renaming or removing a subcommand fails
-   `dune runtest` until the documentation follows. Wired into
-   `dune runtest`. *)
+(* The @docs-smoke alias: keeps README in lock-step with the binary.
+
+   - CLI: parses the COMMANDS section of `repro --help=plain` and the
+     README table rows of the form `| `repro NAME` | ... |`, and requires
+     the two subcommand sets to be identical — adding, renaming or
+     removing a subcommand fails `dune runtest` until the documentation
+     follows.
+   - Metrics: every metric name in the `--metrics-out` JSONL of a short
+     `repro run` of each stack must be declared in the schema (itself,
+     or as an instance of a `<placeholder>` family), and every
+     deterministic metric `repro metrics --list` prints must have a row
+     `| `NAME` | ... |` in README's metrics table.
+
+   Wired into `dune runtest`. *)
 
 let fail fmt =
   Printf.ksprintf
@@ -24,18 +31,23 @@ let read_lines path =
   in
   go []
 
+(* Run [cmd] through the shell, returning its standard output's lines. *)
+let command_lines what cmd =
+  let out = Filename.temp_file "docs_smoke_out" ".txt" in
+  let code = Sys.command (Printf.sprintf "%s > %s" cmd (Filename.quote out)) in
+  if code <> 0 then fail "%s exited with %d" what code;
+  let lines = read_lines out in
+  Sys.remove out;
+  lines
+
 (* Subcommand names from the COMMANDS section: entry lines are indented
    with exactly seven spaces and start with the command name; the section
    ends at the next column-0 header. *)
 let help_commands repro =
-  let out = Filename.temp_file "docs_smoke_help" ".txt" in
-  let cmd =
-    Printf.sprintf "%s --help=plain > %s" (Filename.quote repro) (Filename.quote out)
+  let lines =
+    command_lines "repro --help=plain"
+      (Printf.sprintf "%s --help=plain" (Filename.quote repro))
   in
-  let code = Sys.command cmd in
-  if code <> 0 then fail "repro --help=plain exited with %d" code;
-  let lines = read_lines out in
-  Sys.remove out;
   let in_section = ref false in
   let names = ref [] in
   List.iter
@@ -55,6 +67,51 @@ let help_commands repro =
       end)
     lines;
   List.sort_uniq compare !names
+
+(* (name, determinism) of every declared metric. *)
+let declared_metrics repro =
+  List.filter_map
+    (fun line ->
+      match List.filter (fun w -> w <> "") (String.split_on_char ' ' line) with
+      | [] -> None
+      | [ name; _kind; _unit; _layer; det ] -> Some (name, det)
+      | _ -> fail "unexpected `repro metrics --list` line: %s" line)
+    (command_lines "repro metrics --list"
+       (Printf.sprintf "%s metrics --list" (Filename.quote repro)))
+
+(* Metric names in the --metrics-out JSONL of a short run of each stack. *)
+let emitted_metrics repro =
+  List.concat_map
+    (fun stack ->
+      let out = Filename.temp_file "docs_smoke_metrics" ".jsonl" in
+      ignore
+        (command_lines ("repro run --stack " ^ stack)
+           (Printf.sprintf
+              "%s run --stack %s -n 3 --load 500 --size 1024 --warmup 0.2 --measure 0.5 \
+               --metrics-out %s"
+              (Filename.quote repro) stack (Filename.quote out)));
+      let lines = read_lines out in
+      Sys.remove out;
+      List.map
+        (fun line ->
+          match Repro_obs.Jsonl.parse line with
+          | Ok j -> (
+            match Repro_obs.Jsonl.(to_string_opt (member "name" j)) with
+            | Some name -> name
+            | None -> fail "metric line without a name: %s" line)
+          | Error e -> fail "unparsable metric line (%s): %s" e line)
+        lines)
+    [ "modular"; "indirect"; "monolithic" ]
+
+(* First-cell names of README table rows of the form `| `NAME` | ... |`. *)
+let readme_table_names readme =
+  List.filter_map
+    (fun line ->
+      if String.starts_with ~prefix:"| `" line then
+        let rest = String.sub line 3 (String.length line - 3) in
+        Option.map (fun i -> String.sub rest 0 i) (String.index_opt rest '`')
+      else None)
+    (read_lines readme)
 
 (* Subcommand names from the README quick-reference rows. *)
 let readme_commands readme =
@@ -93,4 +150,25 @@ let () =
   | l ->
     fail "README documents subcommands the binary does not have: %s"
       (String.concat ", " l));
-  Printf.printf "docs-smoke: OK (%d subcommands in sync)\n" (List.length from_help)
+  let declared = declared_metrics repro in
+  if declared = [] then fail "repro metrics --list printed no metrics";
+  let emitted = List.sort_uniq compare (emitted_metrics repro) in
+  if emitted = [] then fail "repro run --metrics-out wrote no metric lines";
+  (match List.filter (fun name -> Repro_obs.Metric.find name = None) emitted with
+  | [] -> ()
+  | l -> fail "metrics emitted but not declared: %s" (String.concat ", " l));
+  let documented = readme_table_names readme in
+  (match
+     List.filter_map
+       (fun (name, det) ->
+         if det = "deterministic" && not (List.mem name documented) then Some name else None)
+       declared
+   with
+  | [] -> ()
+  | l ->
+    fail "declared deterministic metrics missing from README's metrics table: %s"
+      (String.concat ", " l));
+  Printf.printf
+    "docs-smoke: OK (%d subcommands in sync; %d emitted metric names declared; %d declared \
+     metrics, deterministic ones documented)\n"
+    (List.length from_help) (List.length emitted) (List.length declared)

@@ -217,13 +217,14 @@ let test_classic_rbcast_variant () =
   let params =
     { base with Params.modular = { base.Params.modular with Params.rbcast_variant = Params.Classic } }
   in
-  let g = Group.create ~kind:Replica.Modular ~params () in
+  let obs = Kinds.sink () in
+  let g = Group.create ~kind:Replica.Modular ~params ~obs () in
   Group.abcast g 0 ~size:128;
   run_quiet g;
   check_total_order g;
   Alcotest.(check (option int)) "classic relay count"
     (Some (Repro_analysis.Model.rbcast_classic_messages ~n:5))
-    (List.assoc_opt "decision-tag" (Net_stats.by_kind (Group.stats g)))
+    (List.assoc_opt "decision-tag" (Kinds.sent obs))
 
 let test_large_group_smoke () =
   (* Well beyond the paper's n=7: n=13 (f=6) still orders correctly. *)

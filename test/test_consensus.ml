@@ -18,6 +18,7 @@ type proc = {
 type world = {
   engine : Engine.t;
   net : Msg.t Network.t;
+  obs : Repro_obs.Obs.t;  (** Metrics-only: per-kind traffic counts. *)
   procs : proc array;
   params : Params.t;
 }
@@ -31,9 +32,8 @@ let batch_of_pids pids =
 let make ?(n = 3) ?params () =
   let params = match params with Some p -> p | None -> Params.default ~n in
   let engine = Engine.create () in
-  let net =
-    Network.create engine ~kind_of:Msg.kind ~n ~payload_bytes:Msg.payload_bytes ()
-  in
+  let obs = Kinds.sink () in
+  let net = Network.create engine ~kinds:Msg.kinds ~n ~payload_bytes:Msg.payload_bytes ~obs () in
   let procs =
     Array.init n (fun me ->
         let oracle = Oracle_fd.create () in
@@ -70,7 +70,7 @@ let make ?(n = 3) ?params () =
         in
         Lazy.force proc)
   in
-  { engine; net; procs; params }
+  { engine; net; obs; procs; params }
 
 let decision_of w p inst = List.assoc_opt inst w.procs.(p).decided
 let run w = Engine.run w.engine
@@ -119,7 +119,7 @@ let test_good_run_message_pattern () =
     w.procs;
   run w;
   ignore (check_agreement w 0);
-  let kinds = Net_stats.by_kind (Network.stats w.net) in
+  let kinds = Kinds.sent w.obs in
   (* §3.2 optimized pattern: proposal to n-1, n-1 acks (minus the
      coordinator's implicit one), decision tag via majority rbcast. *)
   Alcotest.(check (option int)) "proposals" (Some 2) (List.assoc_opt "propose" kinds);

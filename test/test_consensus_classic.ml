@@ -23,6 +23,7 @@ type proc = {
 type world = {
   engine : Engine.t;
   net : Msg.t Network.t;
+  obs : Repro_obs.Obs.t;  (** Metrics-only: per-kind traffic counts. *)
   procs : proc array;
 }
 
@@ -32,9 +33,8 @@ let batch_of_pids pids = Batch.of_list (List.map (fun p -> msg ~origin:p ~seq:0)
 let make ?(n = 3) () =
   let params = classic_params n in
   let engine = Engine.create () in
-  let net =
-    Network.create engine ~kind_of:Msg.kind ~n ~payload_bytes:Msg.payload_bytes ()
-  in
+  let obs = Kinds.sink () in
+  let net = Network.create engine ~kinds:Msg.kinds ~n ~payload_bytes:Msg.payload_bytes ~obs () in
   let procs =
     Array.init n (fun me ->
         let oracle = Oracle_fd.create () in
@@ -71,7 +71,7 @@ let make ?(n = 3) () =
         in
         Lazy.force proc)
   in
-  { engine; net; procs }
+  { engine; net; obs; procs }
 
 let decision_of w p inst = List.assoc_opt inst w.procs.(p).decided
 let run_for w span = Engine.run_until w.engine (Time.add (Engine.now w.engine) span)
@@ -106,7 +106,7 @@ let test_estimate_phase_runs () =
     w.procs;
   run_for w (Time.span_s 2);
   ignore (check_agreement w 0);
-  let kinds = Net_stats.by_kind (Network.stats w.net) in
+  let kinds = Kinds.sent w.obs in
   (match List.assoc_opt "estimate" kinds with
   | Some c -> Alcotest.(check bool) "estimates on the wire" true (c >= 2)
   | None -> Alcotest.fail "classical variant must send estimates");
@@ -170,7 +170,7 @@ let test_nacks_on_suspicion () =
          Oracle_fd.suspect w.procs.(4).oracle 0));
   run_for w (Time.span_s 3);
   ignore (check_agreement ~correct:[ 0; 1; 2; 3 ] w 0);
-  match List.assoc_opt "nack" (Net_stats.by_kind (Network.stats w.net)) with
+  match List.assoc_opt "nack" (Kinds.sent w.obs) with
   | Some c -> Alcotest.(check bool) "nack sent" true (c >= 1)
   | None -> Alcotest.fail "expected a nack from the suspecting process"
 

@@ -5,6 +5,7 @@
 open Repro_sim
 open Repro_net
 open Repro_core
+module Stats = Repro_obs.Stats
 
 let make ?(kind = Replica.Monolithic) ?(n = 3) () =
   Group.create ~kind ~params:(Params.default ~n) ()

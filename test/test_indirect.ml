@@ -7,9 +7,9 @@ open Repro_net
 open Repro_fd
 open Repro_core
 
-let make ?(n = 3) ?params ?fd_mode () =
+let make ?(n = 3) ?params ?fd_mode ?obs () =
   let params = match params with Some p -> p | None -> Params.default ~n in
-  Group.create ~kind:Replica.Indirect ~params ?fd_mode ()
+  Group.create ~kind:Replica.Indirect ~params ?fd_mode ?obs ()
 
 let run_quiet g = ignore (Group.run_until_quiescent g ~limit:(Time.span_s 60) ())
 
@@ -81,7 +81,8 @@ let test_payload_recovery_after_diffuser_crash () =
      (it holds the payload), the decision tag reaches p2/p3, which now hold
      an ordered identifier with no payload — the Payload_request path must
      fetch it from p1. *)
-  let g = make ~fd_mode:(`Heartbeat Heartbeat_fd.default_config) () in
+  let obs = Kinds.sink () in
+  let g = make ~fd_mode:(`Heartbeat Heartbeat_fd.default_config) ~obs () in
   let net = Group.network g in
   Network.cut net ~src:0 ~dst:1;
   Network.cut net ~src:0 ~dst:2;
@@ -100,7 +101,7 @@ let test_payload_recovery_after_diffuser_crash () =
         (List.mem expect (Group.deliveries g p)))
     [ 0; 1; 2 ];
   (* The recovery must actually have used the request path. *)
-  match List.assoc_opt "payload-push" (Net_stats.by_kind (Group.stats g)) with
+  match List.assoc_opt "payload-push" (Kinds.sent obs) with
   | Some c -> Alcotest.(check bool) "payloads were pushed" true (c >= 2)
   | None -> Alcotest.fail "expected payload-push traffic"
 

@@ -5,6 +5,7 @@
 open Repro_sim
 open Repro_net
 open Repro_core
+module Stats = Repro_obs.Stats
 
 (* A tiny replicated key-value store: applies delivered messages as writes.
    Replicas are consistent iff they apply the same write sequence. *)
@@ -136,7 +137,7 @@ let test_headline_comparison () =
     let delivered = Replica.delivered_count (Group.replica g 0) in
     ( float_of_int s.Net_stats.messages /. float_of_int delivered,
       float_of_int s.Net_stats.payload_bytes /. float_of_int delivered,
-      Repro_workload.Stats.mean lats )
+      Stats.mean lats )
   in
   let mod_msgs, mod_bytes, mod_lat = measure Replica.Modular in
   let mono_msgs, mono_bytes, mono_lat = measure Replica.Monolithic in

@@ -26,14 +26,15 @@ let check_total_order g ~n ~expect =
 
 let run_lossy kind ~loss ~msgs () =
   let n = 3 in
-  let g = Group.create ~kind ~params:(lossy_params ~n loss) () in
+  let obs = Kinds.sink () in
+  let g = Group.create ~kind ~params:(lossy_params ~n loss) ~obs () in
   for i = 0 to msgs - 1 do
     Group.abcast g (i mod n) ~size:512
   done;
   ignore (Group.run_until_quiescent g ~limit:(Time.span_s 300) ());
   check_total_order g ~n ~expect:msgs;
   (* The loss must actually have caused work: channel acks on the wire. *)
-  let kinds = Net_stats.by_kind (Group.stats g) in
+  let kinds = Kinds.sent obs in
   match List.assoc_opt "channel-ack" kinds with
   | Some c -> Alcotest.(check bool) "channel acks flowed" true (c > 0)
   | None -> Alcotest.fail "expected reliable-channel traffic"
@@ -45,11 +46,12 @@ let test_mono_heavy_loss () = run_lossy Replica.Monolithic ~loss:0.25 ~msgs:30 (
 
 let test_zero_loss_has_no_frames () =
   (* Tcp_like transport must not pay any channel overhead. *)
-  let g = Group.create ~kind:Replica.Monolithic ~params:(Params.default ~n:3) () in
+  let obs = Kinds.sink () in
+  let g = Group.create ~kind:Replica.Monolithic ~params:(Params.default ~n:3) ~obs () in
   Group.abcast g 0 ~size:512;
   ignore (Group.run_until_quiescent g ~limit:(Time.span_s 10) ());
   Alcotest.(check (option int)) "no channel acks" None
-    (List.assoc_opt "channel-ack" (Net_stats.by_kind (Group.stats g)))
+    (List.assoc_opt "channel-ack" (Kinds.sent obs))
 
 let test_lossy_with_crash () =
   (* Loss + coordinator crash + heartbeat detection, all at once. *)

@@ -7,9 +7,9 @@ open Repro_sim
 open Repro_net
 open Repro_core
 
-let make ?(n = 3) ?params () =
+let make ?(n = 3) ?params ?obs () =
   let params = match params with Some p -> p | None -> Params.default ~n in
-  Group.create ~kind:Replica.Monolithic ~params ()
+  Group.create ~kind:Replica.Monolithic ~params ?obs ()
 
 let run_quiet g = ignore (Group.run_until_quiescent g ~limit:(Time.span_s 60) ())
 
@@ -35,14 +35,15 @@ let test_single_message_coordinator () =
     (Array.to_list (Group.delivered_counts g))
 
 let test_single_message_non_coordinator () =
-  let g = make () in
+  let obs = Kinds.sink () in
+  let g = make ~obs () in
   Group.abcast g 2 ~size:512;
   run_quiet g;
   check_total_order g;
   Alcotest.(check (list int)) "delivered everywhere" [ 1; 1; 1 ]
     (Array.to_list (Group.delivered_counts g));
   (* The §4.2 idle path: the message travels only to the coordinator. *)
-  let kinds = Net_stats.by_kind (Group.stats g) in
+  let kinds = Kinds.sent obs in
   Alcotest.(check (option int)) "one to-coord send" (Some 1)
     (List.assoc_opt "to-coord" kinds);
   Alcotest.(check (option int)) "never diffused to everyone" None
@@ -182,8 +183,6 @@ let test_matches_modular_order_semantics () =
 
 let ablated mono_opts n = { (Params.default ~n) with Params.mono = mono_opts }
 
-let count_kinds g = Net_stats.by_kind (Group.stats g)
-
 let test_ablation_no_combine () =
   (* §4.1 off: decisions never ride proposals; standalone tags appear for
      every instance, and correctness is preserved. *)
@@ -196,14 +195,15 @@ let test_ablation_no_combine () =
       }
       3
   in
-  let g = make ~params () in
+  let obs = Kinds.sink () in
+  let g = make ~params ~obs () in
   for i = 0 to 29 do
     Group.abcast g (i mod 3) ~size:128
   done;
   run_quiet g;
   check_total_order g;
   Alcotest.(check int) "all delivered" 30 (Replica.delivered_count (Group.replica g 0));
-  let tags = List.assoc_opt "mono-decision-tag" (count_kinds g) in
+  let tags = List.assoc_opt "mono-decision-tag" (Kinds.sent obs) in
   let instances = Replica.instances_decided (Group.replica g 0) in
   Alcotest.(check (option int)) "a standalone tag burst per instance"
     (Some (instances * 2))
@@ -220,7 +220,8 @@ let test_ablation_no_piggyback () =
       }
       3
   in
-  let g = make ~params () in
+  let obs = Kinds.sink () in
+  let g = make ~params ~obs () in
   for i = 0 to 29 do
     Group.abcast g (i mod 3) ~size:128
   done;
@@ -229,7 +230,7 @@ let test_ablation_no_piggyback () =
   Alcotest.(check int) "all delivered" 30 (Replica.delivered_count (Group.replica g 0));
   (* Non-coordinator messages (2/3 of them) go out as to-coord broadcasts
      to everyone: 2 copies each. *)
-  match List.assoc_opt "to-coord" (count_kinds g) with
+  match List.assoc_opt "to-coord" (Kinds.sent obs) with
   | Some c -> Alcotest.(check bool) "diffusion traffic present" true (c >= 20)
   | None -> Alcotest.fail "expected diffusion traffic"
 
@@ -244,7 +245,8 @@ let test_ablation_rb_decision () =
       }
       5
   in
-  let g = make ~params () in
+  let obs = Kinds.sink () in
+  let g = make ~params ~obs () in
   Group.abcast g 0 ~size:128;
   run_quiet g;
   check_total_order g;
@@ -254,7 +256,7 @@ let test_ablation_rb_decision () =
      (n-1) * floor((n+1)/2) copies. *)
   Alcotest.(check (option int)) "rbcast decision complexity"
     (Some (Repro_analysis.Model.rbcast_messages ~n:5))
-    (List.assoc_opt "decision-tag" (count_kinds g))
+    (List.assoc_opt "decision-tag" (Kinds.sent obs))
 
 (* Property: total order for random workloads (monolithic). *)
 let prop_total_order_mono =

@@ -9,7 +9,7 @@ type msg = { label : string; bytes : int }
 let make_net ?(n = 3) ?(wire = Wire.default) () =
   let engine = Engine.create () in
   let net =
-    Network.create engine ~wire ~kind_of:(fun m -> m.label) ~n
+    Network.create engine ~wire ~n
       ~payload_bytes:(fun m -> m.bytes)
       ()
   in
@@ -332,7 +332,14 @@ let test_nic_busy_accounting () =
 (* ---- Statistics ---- *)
 
 let test_stats_counting () =
-  let engine, net = make_net () in
+  let engine = Engine.create () in
+  let obs = Kinds.sink () in
+  let net =
+    Network.create engine ~obs ~n:3
+      ~kinds:{ Network.names = [| "a"; "b" |]; index = (fun m -> if m.label = "a" then 0 else 1) }
+      ~payload_bytes:(fun m -> m.bytes)
+      ()
+  in
   let w = Network.wire net in
   Network.register net 1 (fun ~src:_ _ -> ());
   Network.register net 2 (fun ~src:_ _ -> ());
@@ -344,9 +351,7 @@ let test_stats_counting () =
   Alcotest.(check int) "messages" 3 s.Net_stats.messages;
   Alcotest.(check int) "payload bytes" 250 s.Net_stats.payload_bytes;
   Alcotest.(check int) "wire bytes" (250 + (3 * w.Wire.header_bytes)) s.Net_stats.wire_bytes;
-  Alcotest.(check int) "per sender p1" 2 (Net_stats.sent_by (Network.stats net) 0);
-  Alcotest.(check (list (pair string int))) "by kind" [ ("a", 2); ("b", 1) ]
-    (Net_stats.by_kind (Network.stats net))
+  Alcotest.(check (list (pair string int))) "by kind" [ ("a", 2); ("b", 1) ] (Kinds.sent obs)
 
 let test_stats_diff () =
   let a = { Net_stats.messages = 10; payload_bytes = 100; wire_bytes = 200 } in

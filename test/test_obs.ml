@@ -47,15 +47,82 @@ let test_histogram_summary () =
   Alcotest.(check (float 1e-9)) "min" 1.0 s.Stats.min;
   Alcotest.(check (float 1e-9)) "max" 100.0 s.Stats.max
 
+(* ---- Histogram: bit-exact summary and bulk absorb ---- *)
+
+(* Sample values: small integers (many ties), virtual durations of the
+   form the sinks record ([ns / 1e6] milliseconds), arbitrary floats, and
+   the values [compare] orders specially (0.0 vs -0.0, NaN). *)
+let gen_sample =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map float_of_int (int_range 0 5));
+        (4, map (fun ns -> float_of_int ns /. 1e6) (int_range 0 50_000_000));
+        (2, float);
+        (1, oneofl [ 0.0; -0.0; nan ]);
+      ])
+
+let gen_samples =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, list_size (int_range 0 2) gen_sample);
+        (2, list_size (int_range 3 64) gen_sample);
+        (1, list_size (int_range 500 3000) gen_sample);
+        (* Dense ties between the specially ordered values. *)
+        (1, list_size (int_range 3 64) (oneofl [ 0.0; -0.0; nan; 1.0; -1.0 ]));
+      ])
+
+let arb_samples =
+  QCheck.make gen_samples ~print:(fun l -> Printf.sprintf "%d samples" (List.length l))
+
+let histogram_of samples =
+  let h = Histogram.create () in
+  List.iter (Histogram.observe h) samples;
+  h
+
+let bits_equal (a : Stats.summary) (b : Stats.summary) =
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  a.Stats.count = b.Stats.count && same a.Stats.mean b.Stats.mean
+  && same a.Stats.stddev b.Stats.stddev && same a.Stats.ci95 b.Stats.ci95
+  && same a.Stats.min b.Stats.min && same a.Stats.max b.Stats.max
+  && same a.Stats.p50 b.Stats.p50 && same a.Stats.p95 b.Stats.p95
+  && same a.Stats.p99 b.Stats.p99
+
+let prop_summary_bit_exact =
+  QCheck.Test.make ~name:"summary is bit-identical to Stats.summarize" ~count:300 arb_samples
+    (fun samples ->
+      let h = histogram_of samples in
+      bits_equal (Histogram.summary h) (Stats.summarize (Histogram.samples h)))
+
+(* Absorbing [b] into a histogram holding [a] is observing [a @ b]: same
+   buckets, samples and summary, and the same marshalled value (the
+   snapshot codec marshals histograms whole). *)
+let prop_absorb_sequential =
+  QCheck.Test.make ~name:"absorb equals sequential observation" ~count:200
+    (QCheck.pair arb_samples arb_samples) (fun (a, b) ->
+      let merged = histogram_of a in
+      Histogram.absorb ~into:merged (histogram_of b);
+      let sequential = histogram_of (a @ b) in
+      Histogram.buckets merged = Histogram.buckets sequential
+      && Histogram.count merged = Histogram.count sequential
+      && List.equal
+           (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+           (Histogram.samples merged) (Histogram.samples sequential)
+      && bits_equal (Histogram.summary merged) (Histogram.summary sequential)
+      && String.equal (Marshal.to_string merged []) (Marshal.to_string sequential []))
+
 (* ---- Sink basics ---- *)
 
 let test_counters_and_gauges () =
   let obs = Obs.create () in
-  Obs.incr obs "a.x";
-  Obs.incr obs ~by:41 "a.x";
-  Obs.incr obs "b.y";
-  Obs.set_gauge obs "g" 1.5;
-  Obs.set_gauge obs "g" 2.5;
+  let ax = Obs.resolve_counter obs "a.x" in
+  Obs.incr obs ax;
+  Obs.add obs (Obs.resolve_counter obs "a.x") 41;
+  Obs.incr obs (Obs.resolve_counter obs "b.y");
+  let g = Obs.resolve_gauge obs "g" in
+  Obs.set_gauge obs g 1.5;
+  Obs.set_gauge obs g 2.5;
   Alcotest.(check int) "counter accumulates" 42 (Obs.counter_value obs "a.x");
   Alcotest.(check int) "unknown counter is 0" 0 (Obs.counter_value obs "nope");
   Alcotest.(check (list (pair string int)))
@@ -67,13 +134,82 @@ let test_counters_and_gauges () =
 
 let test_noop_records_nothing () =
   Alcotest.(check bool) "noop disabled" false (Obs.enabled Obs.noop);
-  Obs.incr Obs.noop "a";
-  Obs.set_gauge Obs.noop "g" 1.0;
-  Obs.observe Obs.noop "h" 1.0;
+  Obs.incr Obs.noop (Obs.resolve_counter Obs.noop "a");
+  Obs.set_gauge Obs.noop (Obs.resolve_gauge Obs.noop "g") 1.0;
+  Obs.observe Obs.noop (Obs.resolve_histogram Obs.noop "h") 1.0;
   Obs.event Obs.noop ~pid:0 ~layer:`Net ~phase:"tx" ();
   Alcotest.(check int) "no counter" 0 (Obs.counter_value Obs.noop "a");
   Alcotest.(check (option (float 0.))) "no gauge" None (Obs.gauge_value Obs.noop "g");
   Alcotest.(check int) "no events" 0 (Obs.event_count Obs.noop)
+
+(* ---- Declarations ---- *)
+
+let raises_invalid what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+  | exception Invalid_argument _ -> ()
+
+let test_conflicting_declarations () =
+  let obs = Obs.create () in
+  let h = Obs.resolve_histogram obs "x.lat" in
+  Alcotest.(check bool) "same declaration, same handle" true
+    (Obs.resolve_histogram obs "x.lat" = h);
+  raises_invalid "ad hoc histogram redeclared as a counter" (fun () ->
+      Obs.resolve_counter obs "x.lat");
+  raises_invalid "schema counter as a gauge" (fun () ->
+      Obs.resolve_gauge obs "consensus.decisions");
+  raises_invalid "schema family as a histogram" (fun () ->
+      Obs.resolve_histogram obs "net.msgs.consensus");
+  raises_invalid "undeclared static handle" (fun () -> Obs.Metric.counter "no.such.metric");
+  raises_invalid "family name as a static handle" (fun () ->
+      Obs.Metric.counter "net.msgs.<layer>");
+  (* The first declaration survives the rejected ones. *)
+  Obs.observe obs h 1.5;
+  Alcotest.(check (list string)) "still a histogram" [ "x.lat" ]
+    (List.map fst (Obs.histograms obs));
+  Alcotest.(check (list (pair string int))) "no counter declared" [] (Obs.counters obs)
+
+(* Declarations themselves: a name occurs once in a schema, whatever its
+   attributes, and a use must agree with its declaration's kind and
+   edges. *)
+let test_schema_declarations () =
+  let module M = Obs.Metric in
+  let lat =
+    { M.name = "x.lat"; kind = M.Histogram; unit = "ms"; layer = `Run; det = M.Deterministic;
+      edges = [| 1.0; 2.0 |] }
+  in
+  M.check M.schema;
+  M.check [| lat; { lat with M.name = "x.other" } |];
+  raises_invalid "same name, other edges" (fun () ->
+      M.check [| lat; { lat with M.edges = [| 1.0; 3.0 |] } |]);
+  raises_invalid "same name, other kind" (fun () ->
+      M.check [| lat; { lat with M.kind = M.Counter; edges = [||] } |]);
+  raises_invalid "same name, other unit" (fun () -> M.check [| lat; { lat with M.unit = "s" } |]);
+  raises_invalid "same name, same attributes" (fun () -> M.check [| lat; lat |]);
+  Alcotest.(check (option string)) "agreeing use" None (M.conflict lat lat);
+  Alcotest.(check bool) "other edges conflict" true
+    (M.conflict lat { lat with M.edges = [| 1.0 |] } <> None);
+  Alcotest.(check bool) "other kind conflicts" true
+    (M.conflict lat { lat with M.kind = M.Gauge } <> None)
+
+let test_schema_families () =
+  let module M = Obs.Metric in
+  let declared_by family name = M.find name = M.find family && M.find name <> None in
+  Alcotest.(check bool) "layer instance" true (declared_by "net.msgs.<layer>" "net.msgs.abcast");
+  Alcotest.(check bool) "prefixed placeholder" true
+    (declared_by "scale.<stack>.s<shards>.c<clients>.latency_ms"
+       "scale.modular.s4.c10000.latency_ms");
+  Alcotest.(check (option int)) "prefix alone is not an instance" None
+    (M.find "scale.modular.s.c1.latency_ms");
+  Alcotest.(check (option int)) "segment count must agree" None (M.find "net.msgs.a.b");
+  let obs = Obs.create () in
+  let a = Obs.resolve_counter obs "net.kind_msgs.propose" in
+  Alcotest.(check bool) "family instance resolves once" true
+    (Obs.resolve_counter obs "net.kind_msgs.propose" = a);
+  Obs.incr obs a;
+  Alcotest.(check (list (pair string int))) "exported under the instance name"
+    [ ("net.kind_msgs.propose", 1) ]
+    (Obs.counters obs)
 
 (* ---- JSONL round-trip ---- *)
 
@@ -83,10 +219,10 @@ let int_field name j = Jsonl.(to_int_opt (member name j))
 let make_populated_obs () =
   let engine = Engine.create () in
   let obs = Obs.of_engine engine in
-  Obs.incr obs ~by:7 "net.msgs.consensus";
-  Obs.set_gauge obs "run.throughput" 123.5;
-  Obs.observe obs "abcast.e2e_ms" 1.25;
-  Obs.observe obs "abcast.e2e_ms" 9999.0;
+  Obs.add obs (Obs.resolve_counter obs "net.msgs.consensus") 7;
+  Obs.set_gauge obs (Obs.Metric.gauge "run.throughput") 123.5;
+  Obs.observe obs (Obs.Metric.histogram "abcast.e2e_ms") 1.25;
+  Obs.observe obs (Obs.Metric.histogram "abcast.e2e_ms") 9999.0;
   ignore
     (Engine.schedule_after engine (Time.span_us 3) (fun () ->
          Obs.event obs ~pid:2 ~layer:`Consensus ~phase:"propose" ~detail:"i0 r1" ()));
@@ -249,11 +385,17 @@ let () =
           Alcotest.test_case "default edges ascending" `Quick
             test_default_edges_ascending;
           Alcotest.test_case "percentile summary" `Quick test_histogram_summary;
+          QCheck_alcotest.to_alcotest prop_summary_bit_exact;
+          QCheck_alcotest.to_alcotest prop_absorb_sequential;
         ] );
       ( "sink",
         [
           Alcotest.test_case "counters and gauges" `Quick test_counters_and_gauges;
           Alcotest.test_case "noop records nothing" `Quick test_noop_records_nothing;
+          Alcotest.test_case "conflicting declarations rejected" `Quick
+            test_conflicting_declarations;
+          Alcotest.test_case "schema declarations" `Quick test_schema_declarations;
+          Alcotest.test_case "schema families" `Quick test_schema_families;
         ] );
       ( "jsonl",
         [

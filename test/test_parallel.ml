@@ -10,6 +10,7 @@ module Obs = Repro_obs.Obs
 module Jsonl = Repro_obs.Jsonl
 open Repro_core
 open Repro_workload
+module Stats = Repro_obs.Stats
 
 (* ---- Pool ---- *)
 
@@ -72,10 +73,10 @@ let test_map_exception () =
 let record_task obs k =
   (* A mix of every stream, keyed by the task index so merge order is
      visible in the output. *)
-  Obs.incr obs ~by:(k + 1) "task.count";
-  Obs.incr obs (Printf.sprintf "task.%d.only" k);
-  Obs.set_gauge obs "task.last" (float_of_int k);
-  Obs.observe obs "task.lat" (float_of_int (10 * k));
+  Obs.add obs (Obs.resolve_counter obs "task.count") (k + 1);
+  Obs.incr obs (Obs.resolve_counter obs (Printf.sprintf "task.%d.only" k));
+  Obs.set_gauge obs (Obs.resolve_gauge obs "task.last") (float_of_int k);
+  Obs.observe obs (Obs.resolve_histogram obs "task.lat") (float_of_int (10 * k));
   Obs.event obs ~pid:k ~layer:`App ~phase:"work" ~detail:(string_of_int k) ();
   let root = Obs.span obs ~pid:k ~layer:`App ~phase:"root" () in
   ignore (Obs.span obs ~parent:root ~pid:k ~layer:`App ~phase:"child" ())

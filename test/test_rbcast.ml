@@ -17,7 +17,6 @@ let make ?(n = 5) ?(variant = Params.Majority) () =
   let engine = Engine.create () in
   let net =
     Network.create engine ~n
-      ~kind_of:(fun _ -> "rb")
       ~payload_bytes:(fun (_, s) -> 20 + String.length s)
       ()
   in

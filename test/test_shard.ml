@@ -13,6 +13,7 @@ module Time = Repro_sim.Time
 module Event_queue = Repro_sim.Event_queue
 open Repro_core
 open Repro_workload
+module Stats = Repro_obs.Stats
 
 let dump obs = String.concat "\n" (Jsonl.metric_lines ~tags:[] obs)
 let dump_spans obs = String.concat "\n" (Jsonl.span_lines ~tags:[] obs)
@@ -248,6 +249,31 @@ let test_shard_jobs_equivalence () =
   Alcotest.(check string) "metrics bytes identical" m1 m4;
   Alcotest.(check string) "span bytes identical" s1 s4
 
+(* The metrics-only sink a sharded run is usually observed with: per-shard
+   sinks resolve their family counters ([net.msgs.<layer>], per-kind) in
+   their own order and are merged by name, so the exported lines must not
+   depend on how many domains ran the shards. *)
+let test_shard_metrics_only_jobs_equivalence () =
+  let profile =
+    Population.profile ~clients:5_000 ~rate_per_client:0.24 ~cross_fraction:0.1 ()
+  in
+  let config =
+    Shard.config ~kind:Replica.Indirect ~shards:4 ~n:3 ~profile ~warmup_s:0.2 ~measure_s:0.5
+      ~seed:1 ()
+  in
+  let run jobs =
+    let obs = Obs.create ~max_events:0 () in
+    ignore (Shard.run ~jobs ~obs config);
+    Jsonl.metric_lines ~tags:[] obs
+  in
+  let m1 = run 1 in
+  Alcotest.(check bool) "per-kind counters and histograms exported" true
+    (List.exists (String.starts_with ~prefix:{|{"type":"histogram"|}) m1
+    && List.exists
+         (String.starts_with ~prefix:{|{"type":"counter","name":"net.kind_msgs.|})
+         m1);
+  Alcotest.(check (list string)) "metric lines identical (jobs 1 vs 2)" m1 (run 2)
+
 let test_scale_jobs_equivalence () =
   let run jobs =
     let obs = Obs.create ~max_events:0 () in
@@ -325,6 +351,8 @@ let () =
       ( "jobs-equivalence",
         [
           Alcotest.test_case "sharded-run" `Quick test_shard_jobs_equivalence;
+          Alcotest.test_case "sharded-run metrics-only" `Quick
+            test_shard_metrics_only_jobs_equivalence;
           Alcotest.test_case "scale-study" `Quick test_scale_jobs_equivalence;
         ] );
       ("closed-loop", [ Alcotest.test_case "think-time" `Quick test_closed_loop ]);

@@ -4,6 +4,7 @@
 open Repro_sim
 open Repro_core
 open Repro_workload
+module Stats = Repro_obs.Stats
 
 (* ---- Stats ---- *)
 
