@@ -16,10 +16,8 @@ type inst_state = {
   mutable round : int;
   mutable estimate : Batch.t option;
   mutable ts : int;
-  proposals : (int * Pid.t, Batch.t) Hashtbl.t; (* (round, proposer) -> value *)
+  rounds : Rounds.t; (* proposals, the proposer's acks, recovery estimates *)
   mutable acked_rounds : int list;
-  acks : (int, Pid.t list ref) Hashtbl.t;
-  estimates : (int, (Pid.t * (int * Batch.t)) list ref) Hashtbl.t;
   mutable estimate_sent : int list;
   mutable proposed_rounds : int list;
   mutable solicited_rounds : int list;
@@ -94,10 +92,8 @@ let state t inst =
         round = 1;
         estimate = None;
         ts = 0;
-        proposals = Hashtbl.create 4;
+        rounds = Rounds.create ();
         acked_rounds = [];
-        acks = Hashtbl.create 4;
-        estimates = Hashtbl.create 4;
         estimate_sent = [];
         proposed_rounds = [];
         solicited_rounds = [];
@@ -165,20 +161,6 @@ let rec drain t =
   | None -> ()
 
 (* ---- Decision & pipeline ---- *)
-
-let choose_estimate ests =
-  let better (p1, (ts1, v1)) (p2, (ts2, v2)) =
-    if ts1 <> ts2 then ts1 > ts2
-    else if Batch.size v1 <> Batch.size v2 then Batch.size v1 > Batch.size v2
-    else p1 < p2
-  in
-  match ests with
-  | [] -> None
-  | first :: rest ->
-    let _, (_, v) =
-      List.fold_left (fun best e -> if better e best then e else best) first rest
-    in
-    Some v
 
 let take_cap t batch =
   if Batch.size batch <= t.params.Params.batch_cap then batch
@@ -304,10 +286,10 @@ and maybe_launch t =
       t.pool <- Batch.diff t.pool proposal;
       t.launched <- k;
       s.proposed_rounds <- 1 :: s.proposed_rounds;
-      Hashtbl.replace s.proposals (1, t.me) proposal;
+      Rounds.set_proposal s.rounds ~round:1 ~proposer:t.me proposal;
       s.estimate <- Some proposal;
       s.ts <- 1;
-      Hashtbl.replace s.acks 1 (ref [ t.me ]);
+      Rounds.reset_acks s.rounds ~round:1 t.me;
       let decided =
         if k = 0 then None
         else
@@ -346,29 +328,29 @@ and post_decide_coordinator t s =
   if not s.announced then announce_standalone t s
 
 and check_majority t s ~round =
-  if s.decided = None && List.mem round s.proposed_rounds then
-    match Hashtbl.find_opt s.acks round with
-    | Some slot when List.length !slot >= Params.majority t.params -> begin
-      match Hashtbl.find_opt s.proposals (round, t.me) with
-      | Some value ->
-        if round = 1 && t.params.Params.mono.Params.combine_proposal_decision then begin
-          mono_decide t s value ~here_round:(Some round);
-          post_decide_coordinator t s
-        end
+  if
+    s.decided = None
+    && List.mem round s.proposed_rounds
+    && Rounds.ack_count s.rounds ~round >= Params.majority t.params
+  then
+    match Rounds.proposal s.rounds ~round ~proposer:t.me with
+    | Some value ->
+      if round = 1 && t.params.Params.mono.Params.combine_proposal_decision then begin
+        mono_decide t s value ~here_round:(Some round);
+        post_decide_coordinator t s
+      end
+      else begin
+        (* Recovery rounds (and the §4.1-off ablation) disseminate
+           explicitly; recovery uses the full value for robustness. *)
+        mono_decide t s value ~here_round:(Some round);
+        if round = 1 then post_decide_coordinator t s
         else begin
-          (* Recovery rounds (and the §4.1-off ablation) disseminate
-             explicitly; recovery uses the full value for robustness. *)
-          mono_decide t s value ~here_round:(Some round);
-          if round = 1 then post_decide_coordinator t s
-          else begin
-            s.announced <- true;
-            send_to_others t (Msg.Decision_full { inst = s.inst; value });
-            maybe_launch t
-          end
+          s.announced <- true;
+          send_to_others t (Msg.Decision_full { inst = s.inst; value });
+          maybe_launch t
         end
-      | None -> ()
-    end
-    | Some _ | None -> ()
+      end
+    | None -> ()
 
 and solicit t s ~round =
   if not (List.mem round s.solicited_rounds) then begin
@@ -392,43 +374,36 @@ and send_estimate t s ~round =
       (Msg.Mono_estimate { inst = s.inst; round; value; ts = s.ts; piggyback })
   | Some _ | None -> ()
 
-and coordinator_estimates t s ~round =
-  let received =
-    match Hashtbl.find_opt s.estimates round with Some slot -> !slot | None -> []
-  in
-  match s.estimate with
-  | Some v when not (List.mem_assoc t.me received) -> (t.me, (s.ts, v)) :: received
-  | _ -> received
-
 and maybe_propose_recovery t s ~round =
   if
     s.decided = None && round >= 2
     && coord t ~round = t.me
     && not (List.mem round s.proposed_rounds)
   then begin
-    let ests = coordinator_estimates t s ~round in
-    if List.length ests >= Params.majority t.params then begin
-      match choose_estimate ests with
-      | None -> ()
-      | Some value ->
-        s.proposed_rounds <- round :: s.proposed_rounds;
-        if round > s.round then s.round <- round;
-        Hashtbl.replace s.proposals (round, t.me) value;
-        s.estimate <- Some value;
-        s.ts <- round;
-        Hashtbl.replace s.acks round (ref [ t.me ]);
-        let sp =
-          if Obs.tracing t.obs then
-            Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"propose"
-              ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst round (Batch.size value))
-              ()
-          else Obs.Span.no_parent
-        in
-        Obs.with_span_ctx t.obs sp (fun () ->
-            send_to_others t (Msg.Prop_dec { inst = s.inst; round; proposal = value; decided = None });
-            arm_progress_timer t s;
-            check_majority t s ~round)
-    end
+    (* Our own estimate participates without a message. *)
+    match
+      Rounds.chosen_estimate s.rounds ~round ~majority:(Params.majority t.params)
+        ~own:(Option.map (fun v -> (t.me, s.ts, v)) s.estimate)
+    with
+    | None -> ()
+    | Some value ->
+      s.proposed_rounds <- round :: s.proposed_rounds;
+      if round > s.round then s.round <- round;
+      Rounds.set_proposal s.rounds ~round ~proposer:t.me value;
+      s.estimate <- Some value;
+      s.ts <- round;
+      Rounds.reset_acks s.rounds ~round t.me;
+      let sp =
+        if Obs.tracing t.obs then
+          Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"propose"
+            ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst round (Batch.size value))
+            ()
+        else Obs.Span.no_parent
+      in
+      Obs.with_span_ctx t.obs sp (fun () ->
+          send_to_others t (Msg.Prop_dec { inst = s.inst; round; proposal = value; decided = None });
+          arm_progress_timer t s;
+          check_majority t s ~round)
   end
 
 and advance_round t s ~target =
@@ -449,7 +424,7 @@ and advance_round t s ~target =
 let handle_decision_tag t ~inst ~round ~proposer =
   let s = state t inst in
   if s.decided = None then
-    match Hashtbl.find_opt s.proposals (round, proposer) with
+    match Rounds.proposal s.rounds ~round ~proposer with
     | Some value -> mono_decide t s value ~here_round:None
     | None ->
       (* Tag without the matching proposal: fetch the value from anyone who
@@ -547,7 +522,7 @@ let handle_prop_dec t ~src ~inst ~round ~proposal ~decided =
   end
   else if round >= s.round then begin
     s.round <- round;
-    Hashtbl.replace s.proposals (round, src) proposal;
+    Rounds.set_proposal s.rounds ~round ~proposer:src proposal;
     if s.estimate = None then s.estimate <- Some proposal;
     if Fd.is_suspected t.fd src then
       advance_round t s ~target:(next_unsuspected_round t ~from:(round + 1))
@@ -577,18 +552,10 @@ let handle_ack_diff t ~src ~inst ~round ~piggyback =
      otherwise they would be lost. *)
   List.iter (fun m -> pool_add t m) piggyback;
   let s = state t inst in
-  (if s.decided = None && List.mem round s.proposed_rounds then begin
-     let slot =
-       match Hashtbl.find_opt s.acks round with
-       | Some slot -> slot
-       | None ->
-         let slot = ref [] in
-         Hashtbl.add s.acks round slot;
-         slot
-     in
-     if not (List.mem src !slot) then slot := src :: !slot;
-     check_majority t s ~round
-   end);
+  if s.decided = None && List.mem round s.proposed_rounds then begin
+    Rounds.add_ack s.rounds ~round src;
+    check_majority t s ~round
+  end;
   (* New pool content may allow launching the next instance. *)
   maybe_launch t
 
@@ -602,10 +569,7 @@ let handle_mono_estimate t ~src ~inst ~round ~ts ~value ~piggyback =
   end
   else if round >= 2 then begin
     if round > s.round then s.round <- round;
-    (match Hashtbl.find_opt s.estimates round with
-    | Some slot ->
-      if not (List.mem_assoc src !slot) then slot := (src, (ts, value)) :: !slot
-    | None -> Hashtbl.add s.estimates round (ref [ (src, (ts, value)) ]));
+    Rounds.add_estimate s.rounds ~round ~src ~ts value;
     if coord t ~round = t.me then begin
       maybe_propose_recovery t s ~round;
       if not (List.mem round s.proposed_rounds) then solicit t s ~round
@@ -638,17 +602,11 @@ let on_suspicion t suspect =
         if s.decided = None && (s.estimate <> None || s.acked_rounds <> []) then
           let waiting_on =
             (* The process whose silence blocks this instance: the proposer
-               we acked in the current round (lowest pid when several
-               proposed, so hash order never picks), or the schedule
-               coordinator. *)
-            let acked_proposer =
-              Hashtbl.fold
-                (fun (r, p) _ acc -> if r = s.round then p :: acc else acc)
-                s.proposals []
-              |> List.sort compare
-              |> function p :: _ -> Some p | [] -> None
-            in
-            match acked_proposer with Some p -> p | None -> coord t ~round:s.round
+               we acked in the current round (the lowest pid when several
+               proposed), or the schedule coordinator. *)
+            match Rounds.proposers s.rounds ~round:s.round with
+            | p :: _ -> p
+            | [] -> coord t ~round:s.round
           in
           if waiting_on = suspect then s :: acc else acc
         else acc)

@@ -19,10 +19,8 @@ type inst_state = {
   mutable estimate : Batch.t option;
   mutable ts : int; (* round of last adoption; 0 = initial value, never adopted *)
   mutable started : bool; (* propose () was called locally *)
-  proposals : (int * Pid.t, Batch.t) Hashtbl.t; (* (round, proposer) -> value *)
+  rounds : Rounds.t; (* proposals, the coordinator's acks, recovery estimates *)
   mutable acked_rounds : int list;
-  acks : (int, Pid.t list ref) Hashtbl.t; (* coordinator side, per round *)
-  estimates : (int, (Pid.t * (int * Batch.t)) list ref) Hashtbl.t;
   mutable estimate_sent : int list; (* rounds for which my estimate went out *)
   mutable proposed_rounds : int list; (* rounds I proposed as coordinator *)
   mutable solicited_rounds : int list; (* rounds I broadcast New_round for *)
@@ -73,10 +71,8 @@ let state t inst =
         estimate = None;
         ts = 0;
         started = false;
-        proposals = Hashtbl.create 4;
+        rounds = Rounds.create ();
         acked_rounds = [];
-        acks = Hashtbl.create 4;
-        estimates = Hashtbl.create 4;
         estimate_sent = [];
         proposed_rounds = [];
         solicited_rounds = [];
@@ -169,26 +165,6 @@ let reply_decision t s ~dst =
 
 (* ---- Round progression ---- *)
 
-let estimates_for s ~round =
-  match Hashtbl.find_opt s.estimates round with Some slot -> !slot | None -> []
-
-(* Deterministic choice among a majority of estimates: maximum lock
-   timestamp, then larger batch (so undelivered messages are not dropped
-   needlessly), then lowest pid. *)
-let choose_estimate ests =
-  let better (p1, (ts1, v1)) (p2, (ts2, v2)) =
-    if ts1 <> ts2 then ts1 > ts2
-    else if Batch.size v1 <> Batch.size v2 then Batch.size v1 > Batch.size v2
-    else p1 < p2
-  in
-  match ests with
-  | [] -> None
-  | first :: rest ->
-    let _, (_, v) =
-      List.fold_left (fun best e -> if better e best then e else best) first rest
-    in
-    Some v
-
 let rec arm_progress_timer t s =
   cancel_timer t s.progress_timer;
   s.progress_timer <-
@@ -197,19 +173,13 @@ let rec arm_progress_timer t s =
            if s.decided = None && (s.started || s.estimate <> None) then
              advance_round t s ~target:(next_unsuspected_round t ~from:(s.round + 1))))
 
-(* Coordinator-side: record an estimate for [round] keyed by pid. Our own
-   estimate participates without a message. *)
-and coordinator_estimates t s ~round =
-  let received = estimates_for s ~round in
-  match s.estimate with
-  | Some v when not (List.mem_assoc t.me received) -> (t.me, (s.ts, v)) :: received
-  | _ -> received
-
+(* Round 1 proposes the initial value; a recovery round the estimate
+   chosen from a majority, our own participating without a message. *)
 and value_for_round t s ~round =
   if round = 1 then s.estimate
   else
-    let ests = coordinator_estimates t s ~round in
-    if List.length ests >= Params.majority t.params then choose_estimate ests else None
+    Rounds.chosen_estimate s.rounds ~round ~majority:(Params.majority t.params)
+      ~own:(Option.map (fun v -> (t.me, s.ts, v)) s.estimate)
 
 and maybe_propose t s ~round =
   if
@@ -222,18 +192,10 @@ and maybe_propose t s ~round =
     | Some value ->
       s.proposed_rounds <- round :: s.proposed_rounds;
       if round > s.round then s.round <- round;
-      Hashtbl.replace s.proposals (round, t.me) value;
+      Rounds.set_proposal s.rounds ~round ~proposer:t.me value;
       s.estimate <- Some value;
       s.ts <- round;
-      let slot =
-        match Hashtbl.find_opt s.acks round with
-        | Some slot -> slot
-        | None ->
-          let slot = ref [] in
-          Hashtbl.add s.acks round slot;
-          slot
-      in
-      slot := [ t.me ];
+      Rounds.reset_acks s.rounds ~round t.me;
       L.debug (fun m ->
           m "%a propose i%d r%d (%d msgs)" Pid.pp t.me s.inst round (Batch.size value));
       Obs.incr t.obs c_proposals;
@@ -254,20 +216,20 @@ and maybe_propose t s ~round =
           check_majority t s ~round)
 
 and check_majority t s ~round =
-  if s.decided = None && coord t ~round = t.me then
-    match Hashtbl.find_opt s.acks round with
-    | Some slot when List.length !slot >= Params.majority t.params -> begin
-      match Hashtbl.find_opt s.proposals (round, t.me) with
-      | Some value ->
-        let carried =
-          if t.params.Params.modular.Params.decision_tag_only then None else Some value
-        in
-        (* Local decision arrives through the rbcast service's local
-           delivery, so the coordinator and everyone else share one path. *)
-        t.rbcast_decision ~inst:s.inst ~round ~value:carried
-      | None -> ()
-    end
-    | Some _ | None -> ()
+  if
+    s.decided = None
+    && coord t ~round = t.me
+    && Rounds.ack_count s.rounds ~round >= Params.majority t.params
+  then
+    match Rounds.proposal s.rounds ~round ~proposer:t.me with
+    | Some value ->
+      let carried =
+        if t.params.Params.modular.Params.decision_tag_only then None else Some value
+      in
+      (* Local decision arrives through the rbcast service's local
+         delivery, so the coordinator and everyone else share one path. *)
+      t.rbcast_decision ~inst:s.inst ~round ~value:carried
+    | None -> ()
 
 and solicit t s ~round =
   if not (List.mem round s.solicited_rounds) then begin
@@ -370,7 +332,7 @@ let handle_propose t s ~src ~round ~value =
     s.round <- round;
     cancel_timer t s.kick_timer;
     s.kick_timer <- None;
-    Hashtbl.replace s.proposals (round, src) value;
+    Rounds.set_proposal s.rounds ~round ~proposer:src value;
     if s.estimate = None then s.estimate <- Some value;
     if Fd.is_suspected t.fd src then
       advance_round t s ~target:(next_unsuspected_round t ~from:(round + 1))
@@ -396,15 +358,7 @@ let handle_ack t s ~src ~round =
   (* A late ack (after the decision) needs no reply: the decision's
      reliable broadcast reaches the acker anyway. *)
   if s.decided = None && coord t ~round = t.me then begin
-    let slot =
-      match Hashtbl.find_opt s.acks round with
-      | Some slot -> slot
-      | None ->
-        let slot = ref [] in
-        Hashtbl.add s.acks round slot;
-        slot
-    in
-    if not (List.mem src !slot) then slot := src :: !slot;
+    Rounds.add_ack s.rounds ~round src;
     check_majority t s ~round
   end
 
@@ -421,10 +375,7 @@ let handle_estimate t s ~src ~round ~ts ~value =
   else begin
     let previous_round = s.round in
     if round > s.round then s.round <- round;
-    (match Hashtbl.find_opt s.estimates round with
-    | Some slot ->
-      if not (List.mem_assoc src !slot) then slot := (src, (ts, value)) :: !slot
-    | None -> Hashtbl.add s.estimates round (ref [ (src, (ts, value)) ]));
+    Rounds.add_estimate s.rounds ~round ~src ~ts value;
     if s.estimate = None then s.estimate <- Some value;
     if coord t ~round = t.me then begin
       maybe_propose t s ~round;
@@ -468,7 +419,7 @@ let rb_deliver t ~proposer ~inst ~round ~value =
     match value with
     | Some v -> decide t s v
     | None -> begin
-      match Hashtbl.find_opt s.proposals (round, proposer) with
+      match Rounds.proposal s.rounds ~round ~proposer with
       | Some v -> decide t s v
       | None ->
         (* §3.2: the tag reached us but the proposal did not (possible only

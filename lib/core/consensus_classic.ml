@@ -17,10 +17,8 @@ type inst_state = {
   mutable estimate : Batch.t option;
   mutable ts : int;
   mutable started : bool;
-  proposals : (int * Pid.t, Batch.t) Hashtbl.t;
+  rounds : Rounds.t; (* proposals, the coordinator's acks, estimates *)
   mutable acked_rounds : int list; (* rounds answered with ack OR nack *)
-  acks : (int, Pid.t list ref) Hashtbl.t;
-  estimates : (int, (Pid.t * (int * Batch.t)) list ref) Hashtbl.t;
   mutable proposed_rounds : int list;
   mutable decided : Batch.t option;
   mutable pending_requesters : Pid.t list;
@@ -65,10 +63,8 @@ let state t inst =
         estimate = None;
         ts = 0;
         started = false;
-        proposals = Hashtbl.create 4;
+        rounds = Rounds.create ();
         acked_rounds = [];
-        acks = Hashtbl.create 4;
-        estimates = Hashtbl.create 4;
         proposed_rounds = [];
         decided = None;
         pending_requesters = [];
@@ -145,74 +141,54 @@ let reply_decision t s ~dst =
   | Some value -> t.send ~dst (Msg.Decision_full { inst = s.inst; value })
   | None -> ()
 
-let record_estimate s ~round ~src ~ts ~value =
-  match Hashtbl.find_opt s.estimates round with
-  | Some slot -> if not (List.mem_assoc src !slot) then slot := (src, (ts, value)) :: !slot
-  | None -> Hashtbl.add s.estimates round (ref [ (src, (ts, value)) ])
-
-let choose_estimate ests =
-  let better (p1, (ts1, v1)) (p2, (ts2, v2)) =
-    if ts1 <> ts2 then ts1 > ts2
-    else if Batch.size v1 <> Batch.size v2 then Batch.size v1 > Batch.size v2
-    else p1 < p2
-  in
-  match ests with
-  | [] -> None
-  | first :: rest ->
-    let _, (_, v) =
-      List.fold_left (fun best e -> if better e best then e else best) first rest
-    in
-    Some v
-
 (* Phase 2: the round's coordinator proposes once it holds a majority of
-   estimates (its own included). *)
+   estimates (its own, recorded on entering the round, included). *)
 let rec try_propose t s ~round =
   if
     s.decided = None
     && coord t ~round = t.me
     && not (List.mem round s.proposed_rounds)
   then begin
-    let ests =
-      match Hashtbl.find_opt s.estimates round with Some slot -> !slot | None -> []
-    in
-    if List.length ests >= Params.majority t.params then
-      match choose_estimate ests with
-      | None -> ()
-      | Some value ->
-        s.proposed_rounds <- round :: s.proposed_rounds;
-        Hashtbl.replace s.proposals (round, t.me) value;
-        s.estimate <- Some value;
-        s.ts <- round;
-        Hashtbl.replace s.acks round (ref [ t.me ]);
-        Obs.incr t.obs c_proposals;
-        let sp =
-          if Obs.tracing t.obs then begin
-            Obs.event t.obs ~pid:t.me ~layer:`Consensus ~phase:"propose"
-              ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst round (Batch.size value))
-              ();
-            Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"propose"
-              ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst round (Batch.size value))
-              ()
-          end
-          else Obs.Span.no_parent
-        in
-        Obs.with_span_ctx t.obs sp (fun () ->
-            t.broadcast (Msg.Propose { inst = s.inst; round; value });
-            check_majority t s ~round)
+    match
+      Rounds.chosen_estimate s.rounds ~round ~majority:(Params.majority t.params)
+        ~own:None
+    with
+    | None -> ()
+    | Some value ->
+      s.proposed_rounds <- round :: s.proposed_rounds;
+      Rounds.set_proposal s.rounds ~round ~proposer:t.me value;
+      s.estimate <- Some value;
+      s.ts <- round;
+      Rounds.reset_acks s.rounds ~round t.me;
+      Obs.incr t.obs c_proposals;
+      let sp =
+        if Obs.tracing t.obs then begin
+          Obs.event t.obs ~pid:t.me ~layer:`Consensus ~phase:"propose"
+            ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst round (Batch.size value))
+            ();
+          Obs.span t.obs ~pid:t.me ~layer:`Consensus ~phase:"propose"
+            ~detail:(Printf.sprintf "i%d r%d (%d msgs)" s.inst round (Batch.size value))
+            ()
+        end
+        else Obs.Span.no_parent
+      in
+      Obs.with_span_ctx t.obs sp (fun () ->
+          t.broadcast (Msg.Propose { inst = s.inst; round; value });
+          check_majority t s ~round)
   end
 
 and check_majority t s ~round =
-  if s.decided = None && List.mem round s.proposed_rounds then
-    match Hashtbl.find_opt s.acks round with
-    | Some slot when List.length !slot >= Params.majority t.params -> begin
-      match Hashtbl.find_opt s.proposals (round, t.me) with
-      | Some value ->
-        (* Classical: the full decided value is reliably broadcast; the
-           local decision arrives through the rbcast local delivery. *)
-        t.rbcast_decision ~inst:s.inst ~round ~value:(Some value)
-      | None -> ()
-    end
-    | Some _ | None -> ()
+  if
+    s.decided = None
+    && List.mem round s.proposed_rounds
+    && Rounds.ack_count s.rounds ~round >= Params.majority t.params
+  then
+    match Rounds.proposal s.rounds ~round ~proposer:t.me with
+    | Some value ->
+      (* Classical: the full decided value is reliably broadcast; the
+         local decision arrives through the rbcast local delivery. *)
+      t.rbcast_decision ~inst:s.inst ~round ~value:(Some value)
+    | None -> ()
 
 (* Phase 1: enter a round and send the estimate to its coordinator. *)
 and enter_round t s ~round =
@@ -223,7 +199,7 @@ and enter_round t s ~round =
     (match s.estimate with
     | Some value ->
       let c = coord t ~round in
-      record_estimate s ~round ~src:t.me ~ts:s.ts ~value;
+      Rounds.add_estimate s.rounds ~round ~src:t.me ~ts:s.ts value;
       if c <> t.me then begin
         Obs.incr t.obs c_estimates;
         let sp =
@@ -271,7 +247,7 @@ let propose t ~inst value =
 let handle_estimate t s ~src ~round ~ts ~value =
   if s.decided <> None then reply_decision t s ~dst:src
   else begin
-    record_estimate s ~round ~src ~ts ~value;
+    Rounds.add_estimate s.rounds ~round ~src ~ts value;
     (* Participation: an estimate reveals a running instance. *)
     if s.estimate = None then s.estimate <- Some value;
     if s.round = 0 then enter_round t s ~round:1;
@@ -284,7 +260,7 @@ let handle_propose t s ~src ~round ~value =
   then begin
     if s.round = 0 then s.round <- round;
     if round > s.round then s.round <- round;
-    Hashtbl.replace s.proposals (round, src) value;
+    Rounds.set_proposal s.rounds ~round ~proposer:src value;
     s.acked_rounds <- round :: s.acked_rounds;
     if Fd.is_suspected t.fd src then begin
       t.send ~dst:src (Msg.Nack { inst = s.inst; round });
@@ -310,9 +286,7 @@ let handle_propose t s ~src ~round ~value =
 
 let handle_ack t s ~src ~round =
   if s.decided = None && coord t ~round = t.me then begin
-    (match Hashtbl.find_opt s.acks round with
-    | Some slot -> if not (List.mem src !slot) then slot := src :: !slot
-    | None -> Hashtbl.add s.acks round (ref [ src ]));
+    Rounds.add_ack s.rounds ~round src;
     check_majority t s ~round
   end
 
@@ -370,7 +344,7 @@ let rb_deliver t ~proposer ~inst ~round ~value =
     match value with
     | Some v -> decide t s v
     | None -> begin
-      match Hashtbl.find_opt s.proposals (round, proposer) with
+      match Rounds.proposal s.rounds ~round ~proposer with
       | Some v -> decide t s v
       | None -> t.broadcast (Msg.Decision_request { inst })
     end
