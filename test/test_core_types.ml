@@ -1,5 +1,6 @@
-(* Unit tests for the core data types: application messages, batches, the
-   wire-size model, parameters, flow control, and the order checker. *)
+(* Unit tests for the core data types: application messages, batches,
+   consensus round slots, the wire-size model, parameters, flow control,
+   and the order checker. *)
 
 open Repro_sim
 open Repro_core
@@ -64,6 +65,151 @@ let prop_batch_sorted =
       let b = Batch.of_list (List.map (fun (o, s) -> mk o s) l) in
       let out = Batch.to_list b in
       List.sort App_msg.compare out = out)
+
+(* ---- Rounds ---- *)
+
+(* Reference model: the three hash tables per instance that Rounds
+   replaced, updated exactly as the consensus modules used to. *)
+type rounds_model = {
+  m_proposals : (int * int, Batch.t) Hashtbl.t;
+  m_acks : (int, int list ref) Hashtbl.t;
+  m_estimates : (int, (int * (int * Batch.t)) list ref) Hashtbl.t;
+}
+
+type rounds_op =
+  | Set_proposal of int * int * int (* round, proposer, value *)
+  | Add_ack of int * int
+  | Reset_acks of int * int
+  | Add_estimate of int * int * int * int (* round, src, ts, value *)
+
+(* Five values: two empty batches (equal), then sizes 1, 2, 1. *)
+let rounds_value k = Batch.of_list (List.init (k mod 3) (fun i -> mk k i))
+
+let model_apply m = function
+  | Set_proposal (r, p, v) -> Hashtbl.replace m.m_proposals (r, p) (rounds_value v)
+  | Add_ack (r, p) -> (
+    match Hashtbl.find_opt m.m_acks r with
+    | Some slot -> if not (List.mem p !slot) then slot := p :: !slot
+    | None -> Hashtbl.add m.m_acks r (ref [ p ]))
+  | Reset_acks (r, p) -> Hashtbl.replace m.m_acks r (ref [ p ])
+  | Add_estimate (r, p, ts, v) -> (
+    match Hashtbl.find_opt m.m_estimates r with
+    | Some slot ->
+      if not (List.mem_assoc p !slot) then slot := (p, (ts, rounds_value v)) :: !slot
+    | None -> Hashtbl.add m.m_estimates r (ref [ (p, (ts, rounds_value v)) ]))
+
+let rounds_apply t = function
+  | Set_proposal (r, p, v) -> Rounds.set_proposal t ~round:r ~proposer:p (rounds_value v)
+  | Add_ack (r, p) -> Rounds.add_ack t ~round:r p
+  | Reset_acks (r, p) -> Rounds.reset_acks t ~round:r p
+  | Add_estimate (r, p, ts, v) -> Rounds.add_estimate t ~round:r ~src:p ~ts (rounds_value v)
+
+(* The choice rule as the consensus modules wrote it over the tables. *)
+let model_choose m ~round ~majority ~own =
+  let received =
+    match Hashtbl.find_opt m.m_estimates round with Some slot -> !slot | None -> []
+  in
+  let ests =
+    match own with
+    | Some (me, ts, v) when not (List.mem_assoc me received) -> (me, (ts, v)) :: received
+    | _ -> received
+  in
+  let better (p1, (ts1, v1)) (p2, (ts2, v2)) =
+    if ts1 <> ts2 then ts1 > ts2
+    else if Batch.size v1 <> Batch.size v2 then Batch.size v1 > Batch.size v2
+    else p1 < p2
+  in
+  match ests with
+  | first :: rest when List.length ests >= majority ->
+    Some (snd (snd (List.fold_left (fun b e -> if better e b then e else b) first rest)))
+  | _ -> None
+
+let rounds_agree ~n m t =
+  let rounds = [ 1; 2; 3 ] and pids = List.init n Fun.id in
+  let same_batch = Option.equal Batch.equal in
+  let by_pid l = List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) l in
+  List.for_all
+    (fun r ->
+      let proposals_ok =
+        List.for_all
+          (fun p ->
+            same_batch
+              (Hashtbl.find_opt m.m_proposals (r, p))
+              (Rounds.proposal t ~round:r ~proposer:p))
+          pids
+      in
+      let acks =
+        match Hashtbl.find_opt m.m_acks r with Some slot -> List.length !slot | None -> 0
+      in
+      let model_ests =
+        match Hashtbl.find_opt m.m_estimates r with
+        | Some slot -> List.map (fun (p, (ts, v)) -> (p, ts, v)) !slot
+        | None -> []
+      in
+      let estimates_ok =
+        List.equal
+          (fun (p1, ts1, v1) (p2, ts2, v2) -> p1 = p2 && ts1 = ts2 && Batch.equal v1 v2)
+          (by_pid model_ests)
+          (by_pid (Rounds.estimates t ~round:r))
+      in
+      let model_proposers =
+        Hashtbl.fold (fun (r', p) _ acc -> if r' = r then p :: acc else acc) m.m_proposals []
+        |> List.sort Int.compare
+      in
+      let majority = (n / 2) + 1 in
+      let choice_ok =
+        List.for_all
+          (fun own ->
+            same_batch
+              (model_choose m ~round:r ~majority ~own)
+              (Rounds.chosen_estimate t ~round:r ~majority ~own))
+          (None :: List.map (fun p -> Some (p, 1, rounds_value p)) pids)
+      in
+      proposals_ok
+      && acks = Rounds.ack_count t ~round:r
+      && estimates_ok
+      && model_proposers = Rounds.proposers t ~round:r
+      && choice_ok)
+    rounds
+
+let pp_rounds_op = function
+  | Set_proposal (r, p, v) -> Printf.sprintf "propose r%d p%d v%d" r p v
+  | Add_ack (r, p) -> Printf.sprintf "ack r%d p%d" r p
+  | Reset_acks (r, p) -> Printf.sprintf "reset r%d p%d" r p
+  | Add_estimate (r, p, ts, v) -> Printf.sprintf "estimate r%d p%d ts%d v%d" r p ts v
+
+let gen_rounds_case =
+  let open QCheck.Gen in
+  oneofl [ 3; 5; 7 ] >>= fun n ->
+  let round = int_range 1 3 and pid = int_bound (n - 1) and v = int_bound 4 in
+  let op =
+    frequency
+      [
+        (3, map3 (fun r p v -> Set_proposal (r, p, v)) round pid v);
+        (4, map2 (fun r p -> Add_ack (r, p)) round pid);
+        (1, map2 (fun r p -> Reset_acks (r, p)) round pid);
+        ( 3,
+          map2 (fun (r, p) (ts, v) -> Add_estimate (r, p, ts, v)) (pair round pid)
+            (pair (int_bound 3) v) );
+      ]
+  in
+  map (fun ops -> (n, ops)) (list_size (int_bound 40) op)
+
+let prop_rounds_model =
+  QCheck.Test.make ~name:"rounds match a Hashtbl model after every step" ~count:300
+    (QCheck.make gen_rounds_case ~print:(fun (n, ops) ->
+         Printf.sprintf "n=%d: %s" n (String.concat "; " (List.map pp_rounds_op ops))))
+    (fun (n, ops) ->
+      let m =
+        { m_proposals = Hashtbl.create 4; m_acks = Hashtbl.create 4; m_estimates = Hashtbl.create 4 }
+      in
+      let t = Rounds.create () in
+      List.for_all
+        (fun op ->
+          model_apply m op;
+          rounds_apply t op;
+          rounds_agree ~n m t)
+        ops)
 
 (* ---- Msg size model ---- *)
 
@@ -243,6 +389,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_batch_union;
           QCheck_alcotest.to_alcotest prop_batch_sorted;
         ] );
+      ("rounds", [ QCheck_alcotest.to_alcotest prop_rounds_model ]);
       ( "msg",
         [
           Alcotest.test_case "size model" `Quick test_msg_sizes;
