@@ -192,34 +192,39 @@ let send t ~dst payload =
     if link.timer = None then arm_timer t ~dst link
   end
 
-(* Karn's rule: sample the round trip only from frames acked on their first
-   transmission — a retransmitted frame's ack is ambiguous. EWMA with the
-   classic 1/8 gain, applied to the acked frames in ascending seq order. *)
+(* EWMA with the classic 1/8 gain. *)
 let sample_rtt t link frame =
-  if not frame.retransmitted then begin
-    let rtt = Time.diff (Engine.now t.engine) frame.sent_at in
-    link.srtt <-
-      Some
-        (match link.srtt with
-        | None -> rtt
-        | Some srtt ->
-          Time.span_ns (((7 * Time.span_to_ns srtt) + Time.span_to_ns rtt) / 8))
-  end
+  let rtt = Time.diff (Engine.now t.engine) frame.sent_at in
+  link.srtt <-
+    Some
+      (match link.srtt with
+      | None -> rtt
+      | Some srtt -> Time.span_ns (((7 * Time.span_to_ns srtt) + Time.span_to_ns rtt) / 8))
 
+(* Karn's rule, applied to the whole cumulative ack: sample the round trip
+   from the acked frames (in ascending seq order) only when none of them
+   was retransmitted. A retransmitted frame's ack is ambiguous, and a
+   frame the receiver held back behind a lost predecessor is acked only
+   once the retransmission fills the gap — its sample would time the
+   stall, not a round trip, and inflate the timeout to seconds. *)
 let handle_ack t ~src ~cumulative =
   let link = t.outgoing.(src) in
-  let progressed = ref false in
-  while link.len > 0 && (frame_at link 0).seq <= cumulative do
-    sample_rtt t link (frame_at link 0);
-    link.head <- (link.head + 1) land (Array.length link.ring - 1);
-    link.len <- link.len - 1;
-    progressed := true
+  let covered = ref 0 and ambiguous = ref false in
+  while !covered < link.len && (frame_at link !covered).seq <= cumulative do
+    if (frame_at link !covered).retransmitted then ambiguous := true;
+    incr covered
   done;
+  if not !ambiguous then
+    for i = 0 to !covered - 1 do
+      sample_rtt t link (frame_at link i)
+    done;
+  link.head <- (link.head + !covered) land (Array.length link.ring - 1);
+  link.len <- link.len - !covered;
   if link.len = 0 then begin
     cancel_timer t link;
     link.backoff <- 0
   end
-  else if !progressed then begin
+  else if !covered > 0 then begin
     (* Progress: reset the backoff and give the remainder a fresh timeout. *)
     link.backoff <- 0;
     arm_timer t ~dst:src link
