@@ -155,6 +155,32 @@ let test_coordinator_crash () =
   Alcotest.(check bool) "survivor value decided" true
     (Batch.equal d (batch_of_pids [ 1 ]) || Batch.equal d (batch_of_pids [ 2 ]))
 
+let test_two_coordinator_crashes () =
+  (* Rounds 1 and 2 have crashed coordinators, so every instance is decided
+     in a recovery round that p3 coordinates with a majority of 4 of the 5
+     survivors' estimates. *)
+  let w = make ~n:7 () in
+  Network.crash w.net 0;
+  Network.crash w.net 1;
+  for inst = 0 to 2 do
+    for p = 2 to 6 do
+      Consensus_classic.propose w.procs.(p).consensus ~inst (batch_of_pids [ p ])
+    done
+  done;
+  run_for w (Time.span_ms 100);
+  suspect_everywhere w 0;
+  suspect_everywhere w 1;
+  run_for w (Time.span_s 3);
+  for inst = 0 to 2 do
+    ignore (check_agreement ~correct:[ 2; 3; 4; 5; 6 ] w inst);
+    for p = 2 to 6 do
+      Alcotest.(check bool)
+        (Printf.sprintf "i%d: p%d reached round 3" inst (p + 1))
+        true
+        (Consensus_classic.rounds_used w.procs.(p).consensus ~inst >= 3)
+    done
+  done
+
 let test_nacks_on_suspicion () =
   (* A suspicion raised while a process waits in phase 3 (estimate sent,
      proposal not yet acked) produces an explicit nack to the round's
@@ -215,6 +241,44 @@ let test_stack_crash_recovery () =
   let l1 = Group.deliveries g 1 and l2 = Group.deliveries g 2 in
   Alcotest.(check bool) "survivors agree" true (l1 = l2);
   Alcotest.(check bool) "progress after crash" true (List.length l1 >= 3)
+
+let test_stack_two_coordinator_crashes () =
+  (* p1 and p2, the first two coordinators, crash with instances in flight;
+     the survivors must still agree on one delivery order. Waiting
+     processes nack the suspected coordinators as they move to p3's round. *)
+  let obs = Kinds.sink () in
+  let g =
+    Group.create ~kind:Replica.Modular ~params:(classic_params 7)
+      ~fd_mode:(`Heartbeat Heartbeat_fd.default_config) ~obs ()
+  in
+  for i = 0 to 20 do
+    Group.abcast g (i mod 7) ~size:256
+  done;
+  Group.run_for g (Time.span_us 600);
+  Group.crash g 0;
+  Group.crash g 1;
+  for p = 2 to 6 do
+    Group.abcast g p ~size:256
+  done;
+  Group.run_for g (Time.span_s 5);
+  let log = Group.deliveries g 2 in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Printf.sprintf "p%d delivered the same sequence" (p + 1))
+        true
+        (Group.deliveries g p = log);
+      for seq = 0 to 3 do
+        Alcotest.(check bool)
+          (Printf.sprintf "p%d#%d delivered" (p + 1) seq)
+          true
+          (List.mem { App_msg.origin = p; seq } log)
+      done)
+    [ 2; 3; 4; 5; 6 ];
+  Alcotest.(check int) "no duplicates" (List.length log)
+    (List.length (List.sort_uniq compare log));
+  let nacks = Option.value ~default:0 (List.assoc_opt "nack" (Kinds.sent obs)) in
+  Alcotest.(check bool) "recovery rounds ran" true (nacks > 0)
 
 let test_classic_costs_more () =
   (* The point of §3.2: the optimized variant sends fewer messages and
@@ -284,6 +348,8 @@ let () =
           Alcotest.test_case "coordinator crash" `Quick test_coordinator_crash;
           Alcotest.test_case "nacks on suspicion" `Quick test_nacks_on_suspicion;
           Alcotest.test_case "false suspicion (locking)" `Quick test_false_suspicion_locking;
+          Alcotest.test_case "two coordinator crashes (n=7)" `Quick
+            test_two_coordinator_crashes;
           QCheck_alcotest.to_alcotest prop_random_crashes;
         ] );
       ( "stack",
@@ -292,6 +358,8 @@ let () =
             test_stack_total_order;
           Alcotest.test_case "crash recovery at stack level" `Quick
             test_stack_crash_recovery;
+          Alcotest.test_case "two coordinator crashes at stack level (n=7)" `Quick
+            test_stack_two_coordinator_crashes;
           Alcotest.test_case "§3.2 optimizations save traffic" `Quick
             test_classic_costs_more;
         ] );

@@ -259,6 +259,48 @@ let test_ablation_rb_decision () =
     (List.assoc_opt "decision-tag" (Kinds.sent obs))
 
 (* Property: total order for random workloads (monolithic). *)
+(* ---- Recovery ---- *)
+
+let test_two_coordinator_crashes () =
+  (* p1 (the steward, proposing every instance in round 1) and p2 (round 2's
+     coordinator) crash together while instances are in flight. Those
+     instances are finished by recovery rounds that p3 coordinates with a
+     majority of 4 of the 5 survivors, and p3 takes over as steward. *)
+  let obs = Kinds.sink () in
+  let g =
+    Group.create ~kind:Replica.Monolithic ~params:(Params.default ~n:7)
+      ~fd_mode:(`Heartbeat Repro_fd.Heartbeat_fd.default_config) ~obs ()
+  in
+  for i = 0 to 20 do
+    Group.abcast g (i mod 7) ~size:256
+  done;
+  Group.run_for g (Time.span_us 600);
+  Group.crash g 0;
+  Group.crash g 1;
+  for p = 2 to 6 do
+    Group.abcast g p ~size:256
+  done;
+  Group.run_for g (Time.span_s 5);
+  let survivors = [ 2; 3; 4; 5; 6 ] in
+  let log = Group.deliveries g 2 in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Printf.sprintf "p%d delivered the same sequence" (p + 1))
+        true
+        (Group.deliveries g p = log);
+      for seq = 0 to 3 do
+        Alcotest.(check bool)
+          (Printf.sprintf "p%d#%d delivered" (p + 1) seq)
+          true
+          (List.mem { App_msg.origin = p; seq } log)
+      done)
+    survivors;
+  Alcotest.(check int) "no duplicates" (List.length log)
+    (List.length (List.sort_uniq compare log));
+  let estimates = Option.value ~default:0 (List.assoc_opt "mono-estimate" (Kinds.sent obs)) in
+  Alcotest.(check bool) "recovery rounds ran" true (estimates > 0)
+
 let prop_total_order_mono =
   QCheck.Test.make ~name:"monolithic total order for random workloads" ~count:40
     QCheck.(triple (int_range 1 60) (oneofl [ 3; 5 ]) (int_bound 999))
@@ -290,6 +332,9 @@ let () =
             test_matches_modular_order_semantics;
           QCheck_alcotest.to_alcotest prop_total_order_mono;
         ] );
+      ( "crashes",
+        [ Alcotest.test_case "two coordinator crashes (n=7)" `Quick test_two_coordinator_crashes ]
+      );
       ( "analytical-match",
         [
           Alcotest.test_case "2(n-1) messages per instance (§5.2.1)" `Slow
