@@ -1277,6 +1277,21 @@ let compare_cmd =
        in
        line "baseline" old_report;
        line "candidate" new_report);
+      (* events_executed is a pure function of the report matrix, so it
+         gates like a simulated metric, but only between reports of the
+         same mode: smoke and full runs drive different matrices. *)
+      let events_mismatch =
+        let meta key r = List.assoc_opt key r.Repro_analysis.Bench_report.meta in
+        match (meta "events_executed" old_report, meta "events_executed" new_report) with
+        | Some o, Some n when meta "mode" old_report <> meta "mode" new_report ->
+          Fmt.pr "simulator events: %s -> %s (modes %s and %s differ, informational)@." o n
+            (Option.value ~default:"?" (meta "mode" old_report))
+            (Option.value ~default:"?" (meta "mode" new_report));
+          None
+        | Some o, Some n when o <> n ->
+          Some (Printf.sprintf "events_executed changed: %s -> %s" o n)
+        | _ -> None
+      in
       let verdicts =
         Repro_analysis.Bench_report.compare_reports ~old_report ~new_report
       in
@@ -1286,15 +1301,21 @@ let compare_cmd =
         List.iter
           (fun v -> Fmt.pr "%a@." Repro_analysis.Bench_report.pp_verdict v)
           verdicts;
-        match Repro_analysis.Bench_report.regressions verdicts with
+        let failures =
+          (match Repro_analysis.Bench_report.regressions verdicts with
+          | [] -> []
+          | regs ->
+            [
+              Printf.sprintf "%d of %d entries regressed" (List.length regs)
+                (List.length verdicts);
+            ])
+          @ Option.to_list events_mismatch
+        in
+        match failures with
         | [] ->
           Fmt.pr "%d entries compared, no regressions.@." (List.length verdicts);
           `Ok ()
-        | regs ->
-          `Error
-            ( false,
-              Printf.sprintf "%d of %d entries regressed" (List.length regs)
-                (List.length verdicts) )
+        | _ -> `Error (false, String.concat "; " failures)
       end)
   in
   Cmd.v
@@ -1302,7 +1323,8 @@ let compare_cmd =
        ~doc:
          "Compare two benchmark reports (bench --json-out) and exit nonzero when a \
           metric regressed beyond both its noise band (larger IQR of the two runs) \
-          and a 3% relative threshold.")
+          and a 3% relative threshold, or when two reports of the same mode differ in \
+          their deterministic events_executed.")
     Term.(ret (const run $ old_arg $ new_arg))
 
 (* ---- critical-path: latency attribution from a span trace ---- *)

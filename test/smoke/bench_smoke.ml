@@ -1,8 +1,10 @@
 (* The @bench-smoke alias: end-to-end check of the benchmark regression
    pipeline through the public executables. Runs the tiny seeded benchmark
    (bench --smoke --json-out), validates the report, then drives
-   `repro compare` twice: against the identical report (must exit 0) and
-   against a synthetically regressed copy (must exit nonzero). Wired into
+   `repro compare` against the identical report (must exit 0), a
+   synthetically regressed copy (must exit nonzero), a copy whose
+   events_executed differs (must exit nonzero) and a copy that differs in
+   events_executed and mode (informational only: must exit 0). Wired into
    `dune runtest`. *)
 
 module Br = Repro_analysis.Bench_report
@@ -67,4 +69,27 @@ let () =
   (match command repro_bin [ "compare"; report_path; regressed_path ] with
   | 0 -> fail "compare accepted a 50%% synthetic regression"
   | _ -> ());
+  (* events_executed is deterministic: a report of the same mode with
+     other counts must fail the gate even with identical entries. *)
+  let with_meta path changes =
+    let meta =
+      List.map
+        (fun (k, v) -> (k, Option.value ~default:v (List.assoc_opt k changes)))
+        report.Br.meta
+    in
+    if not (List.mem_assoc "events_executed" report.Br.meta) then
+      fail "report has no events_executed";
+    Br.write_file path { report with Br.meta };
+    path
+  in
+  let events = [ ("events_executed", "1") ] in
+  (match command repro_bin [ "compare"; report_path; with_meta "bench_smoke_events.json" events ] with
+  | 0 -> fail "compare accepted a changed events_executed"
+  | _ -> ());
+  run_cli repro_bin
+    [
+      "compare";
+      report_path;
+      with_meta "bench_smoke_mode.json" (("mode", "other") :: events);
+    ];
   print_endline "bench-smoke: OK"
