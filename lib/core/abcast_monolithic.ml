@@ -699,9 +699,6 @@ let create ~engine ~params ~me ~fd ~send ~broadcast ~on_adeliver ?(obs = Obs.noo
 let delivered_count t = t.delivered_count
 let decided_instances t = t.next_deliver
 
-let rounds_used t ~inst =
-  match Hashtbl.find_opt t.instances inst with Some s -> s.round | None -> 0
-
 (* ---- Snapshot ---- *)
 
 module Snap = Snapshot

@@ -63,9 +63,6 @@ val delivered_count : t -> int
 val decided_instances : t -> int
 (** Instances adelivered so far (= next expected instance number). *)
 
-val rounds_used : t -> inst:int -> int
-(** Highest round entered for an instance (1 in good runs); 0 if unknown. *)
-
 val snapshot : ?name:string -> t -> Repro_sim.Snapshot.section
 (** Default section name ["core.abcast_monolithic.p<me>"]. Carries every
     consensus instance (timers stripped), the delivery cursor, the

@@ -1,7 +1,7 @@
 open Repro_net
 
 (* Newest first. Lookups are top-level scans taking their keys as
-   arguments, so the per-message paths allocate no closure. *)
+   arguments, so they allocate no closure. *)
 type t = {
   mutable proposals : (int * Pid.t * Batch.t) list;
   mutable acks : (int * Pid.t) list;

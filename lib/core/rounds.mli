@@ -2,15 +2,13 @@ open Repro_net
 
 (** Per-round slots of one consensus instance, shared by {!Consensus},
     {!Consensus_classic} and {!Abcast_monolithic}: proposals keyed by
-    (round, proposer), the coordinator's ack set per round, and the
-    estimates a coordinator collects per round, one per sender.
+    (round, proposer), an ack set per round, and one estimate per sender
+    per round.
 
-    An instance uses one round in a good run and a few under failures, so
-    the slots are plain lists in one mutable record, scanned on int keys.
-    Instances live for the whole run, and a hash table per slot kind cost
-    66 words per instance for every major cycle to mark (PERF.md §8). Each
-    operation keeps the meaning such a table had; a qcheck model test
-    checks that against a [Hashtbl] reference. *)
+    Instances live for the whole run and use one round in a good run, a
+    few under failures, so the slots are plain lists in one mutable record
+    (4 words while empty, PERF.md §8), scanned on int keys. Each operation
+    keeps the meaning a [Hashtbl] per slot kind has. *)
 
 type t
 

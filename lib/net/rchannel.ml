@@ -201,12 +201,11 @@ let sample_rtt t link frame =
       | None -> rtt
       | Some srtt -> Time.span_ns (((7 * Time.span_to_ns srtt) + Time.span_to_ns rtt) / 8))
 
-(* Karn's rule, applied to the whole cumulative ack: sample the round trip
-   from the acked frames (in ascending seq order) only when none of them
-   was retransmitted. A retransmitted frame's ack is ambiguous, and a
-   frame the receiver held back behind a lost predecessor is acked only
-   once the retransmission fills the gap — its sample would time the
-   stall, not a round trip, and inflate the timeout to seconds. *)
+(* Karn's rule over the whole cumulative ack: sample the round trip from
+   the acked frames, in ascending seq order, only if none was retransmitted.
+   Besides a retransmitted frame's own ambiguous ack, frames held back
+   behind it are acked only once it fills the gap: their samples would
+   time the stall and inflate the timeout to seconds. *)
 let handle_ack t ~src ~cumulative =
   let link = t.outgoing.(src) in
   let covered = ref 0 and ambiguous = ref false in
