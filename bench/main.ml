@@ -595,10 +595,11 @@ let microbench () =
       List.init 64 (fun i ->
           App_msg.make ~origin:(i mod 7) ~seq:i ~size:1024 ~abcast_at:Repro_sim.Time.zero)
     in
-    Test.make ~name:"batch of_list(64) + union"
+    let probe = (List.nth msgs 37).App_msg.id in
+    Test.make ~name:"batch of_list(64) + mem"
       (Staged.stage (fun () ->
            let b = Batch.of_list msgs in
-           ignore (Batch.union b b)))
+           ignore (Batch.mem b probe)))
   in
   let msg_size_bench =
     let batch =

@@ -11,13 +11,6 @@ let h_e2e_ms = Obs.Metric.histogram "abcast.e2e_ms"
 
 type consensus_service = { propose : inst:int -> Batch.t -> unit }
 
-module Id_tbl = Hashtbl.Make (struct
-  type t = App_msg.id
-
-  let equal = App_msg.equal_id
-  let hash (id : App_msg.id) = Hashtbl.hash (id.App_msg.origin, id.App_msg.seq)
-end)
-
 type t = {
   engine : Engine.t;
   params : Params.t;
@@ -28,10 +21,10 @@ type t = {
   consensus : consensus_service;
   on_adeliver : App_msg.t -> unit;
   obs : Obs.t;
-  payloads : App_msg.t Id_tbl.t; (* everything diffused to us, incl. own *)
+  payloads : Msg_table.t; (* everything diffused to us, incl. own; never shrinks *)
   delivered : Id_table.t;
-  mutable pending : App_msg.Id_set.t; (* ids known but not yet ordered *)
-  mutable ordered : App_msg.Id_set.t; (* ids in buffered decisions, undelivered *)
+  pending : Msg_table.t; (* ids known but not yet ordered, as [id_only] *)
+  decided : Id_table.t; (* ids of every accepted decision, delivered or not *)
   mutable next_decide : int;
   mutable proposed_up_to : int;
   decisions : (int, Batch.t) Hashtbl.t;
@@ -41,9 +34,7 @@ type t = {
 
 (* An identifier travels as a zero-size message: the wire model then
    prices it at exactly the 12 identifier bytes. *)
-let id_only (id : App_msg.id) =
-  App_msg.make ~origin:id.App_msg.origin ~seq:id.App_msg.seq ~size:0
-    ~abcast_at:Time.zero
+let id_only (m : App_msg.t) = { m with App_msg.size = 0; abcast_at = Time.zero }
 
 let create ~engine ~params ~me ~diffuse ~send ~broadcast ~consensus ~on_adeliver
     ?(obs = Obs.noop) () =
@@ -57,10 +48,10 @@ let create ~engine ~params ~me ~diffuse ~send ~broadcast ~consensus ~on_adeliver
     consensus;
     on_adeliver;
     obs;
-    payloads = Id_tbl.create 1024;
+    payloads = Msg_table.create ~n:params.Params.n;
     delivered = Id_table.create ~n:params.Params.n;
-    pending = App_msg.Id_set.empty;
-    ordered = App_msg.Id_set.empty;
+    pending = Msg_table.create ~n:params.Params.n;
+    decided = Id_table.create ~n:params.Params.n;
     next_decide = 0;
     proposed_up_to = -1;
     decisions = Hashtbl.create 16;
@@ -69,34 +60,31 @@ let create ~engine ~params ~me ~diffuse ~send ~broadcast ~consensus ~on_adeliver
   }
 
 let maybe_propose t =
-  if t.proposed_up_to < t.next_decide && not (App_msg.Id_set.is_empty t.pending) then begin
-    let ids =
-      App_msg.Id_set.elements t.pending
-      |> List.filteri (fun i _ -> i < t.params.Params.batch_cap)
-    in
+  if t.proposed_up_to < t.next_decide && not (Msg_table.is_empty t.pending) then begin
+    let ids = Msg_table.take t.pending ~cap:t.params.Params.batch_cap in
     t.proposed_up_to <- t.next_decide;
     L.debug (fun m ->
         m "%a propose instance %d (%d ids, indirect)" Pid.pp t.me t.next_decide
-          (List.length ids));
+          (Batch.size ids));
     let sp =
       if Obs.tracing t.obs then
         Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"propose"
-          ~detail:(Printf.sprintf "i%d (%d ids)" t.next_decide (List.length ids))
+          ~detail:(Printf.sprintf "i%d (%d ids)" t.next_decide (Batch.size ids))
           ()
       else Obs.Span.no_parent
     in
-    Obs.with_span_ctx t.obs sp (fun () ->
-        t.consensus.propose ~inst:t.next_decide (Batch.of_list (List.map id_only ids)))
+    Obs.with_span_ctx t.obs sp (fun () -> t.consensus.propose ~inst:t.next_decide ids)
   end
 
 let delivered_mem t (id : App_msg.id) =
   Id_table.mem t.delivered ~origin:id.App_msg.origin ~seq:id.App_msg.seq
 
 let missing_payloads t batch =
-  List.filter_map
-    (fun (m : App_msg.t) ->
-      if Id_tbl.mem t.payloads m.id || delivered_mem t m.id then None else Some m.id)
-    (Batch.to_list batch)
+  Batch.fold
+    (fun acc (m : App_msg.t) ->
+      if Msg_table.mem t.payloads m.id || delivered_mem t m.id then acc else m.id :: acc)
+    [] batch
+  |> List.rev
 
 let cancel_fetch t =
   match t.fetch_timer with
@@ -118,7 +106,7 @@ let rec arm_fetch t ids =
       (Engine.schedule_after t.engine (Time.span_ms 20) (fun () ->
            t.fetch_timer <- None;
            let still_missing =
-             List.filter (fun id -> not (Id_tbl.mem t.payloads id)) ids
+             List.filter (fun id -> not (Msg_table.mem t.payloads id)) ids
            in
            if still_missing <> [] then begin
              L.debug (fun m ->
@@ -128,14 +116,13 @@ let rec arm_fetch t ids =
            end))
 
 let adeliver_batch t batch =
-  List.iter
+  Batch.iter
     (fun (m : App_msg.t) ->
       if not (delivered_mem t m.id) then begin
-        match Id_tbl.find_opt t.payloads m.id with
+        match Msg_table.find_opt t.payloads m.id with
         | Some payload ->
           Id_table.add t.delivered ~origin:m.id.App_msg.origin
             ~seq:m.id.App_msg.seq;
-          t.ordered <- App_msg.Id_set.remove m.id t.ordered;
           t.delivered_count <- t.delivered_count + 1;
           Obs.incr t.obs c_adelivers;
           if Obs.enabled t.obs then
@@ -145,9 +132,7 @@ let adeliver_batch t batch =
           (* Unreachable: the caller checked [missing_payloads] first. *)
           assert false
       end)
-    (Batch.to_list batch);
-  t.pending <-
-    App_msg.Id_set.filter (fun id -> not (delivered_mem t id)) t.pending
+    batch
 
 let rec drain t =
   match Hashtbl.find_opt t.decisions t.next_decide with
@@ -177,10 +162,11 @@ let rec drain t =
     | missing -> if t.fetch_timer = None then arm_fetch t missing)
 
 let note_payload t (m : App_msg.t) =
-  if not (Id_tbl.mem t.payloads m.id) then begin
-    Id_tbl.replace t.payloads m.id m;
-    if (not (delivered_mem t m.id)) && not (App_msg.Id_set.mem m.id t.ordered)
-    then t.pending <- App_msg.Id_set.add m.id t.pending;
+  if not (Msg_table.mem t.payloads m.id) then begin
+    Msg_table.add t.payloads m;
+    (* Delivered ids are decided ones, so this also keeps them out. *)
+    if not (Id_table.mem t.decided ~origin:m.id.App_msg.origin ~seq:m.id.App_msg.seq)
+    then Msg_table.add t.pending (id_only m);
     (* A blocked decision may now be complete. *)
     drain t;
     maybe_propose t
@@ -223,7 +209,7 @@ let on_diffuse t m = note_payload t m
 let on_payload_request t ~src ids =
   List.iter
     (fun id ->
-      match Id_tbl.find_opt t.payloads id with
+      match Msg_table.find_opt t.payloads id with
       | Some m -> t.send ~dst:src (Msg.Payload_push m)
       | None -> ())
     ids
@@ -234,12 +220,11 @@ let on_decide t ~inst batch =
   if inst >= t.next_decide && not (Hashtbl.mem t.decisions inst) then begin
     Hashtbl.replace t.decisions inst batch;
     (* The decided identifiers are ordered now; never re-propose them. *)
-    List.iter
+    Batch.iter
       (fun (m : App_msg.t) ->
-        t.pending <- App_msg.Id_set.remove m.id t.pending;
-        if not (delivered_mem t m.id) then
-          t.ordered <- App_msg.Id_set.add m.id t.ordered)
-      (Batch.to_list batch);
+        Msg_table.remove t.pending m.id;
+        Id_table.add t.decided ~origin:m.id.App_msg.origin ~seq:m.id.App_msg.seq)
+      batch;
     drain t;
     maybe_propose t
   end
@@ -257,10 +242,10 @@ let blocked_on_payloads t =
 module Snap = Repro_sim.Snapshot
 
 type ab_data = {
-  ad_payloads : (App_msg.id * App_msg.t) list; (* ascending identity *)
+  ad_payloads : Msg_table.t;
   ad_delivered : Id_table.t;
-  ad_pending : App_msg.Id_set.t;
-  ad_ordered : App_msg.Id_set.t;
+  ad_pending : Msg_table.t;
+  ad_decided : Id_table.t;
   ad_next_decide : int;
   ad_proposed_up_to : int;
   ad_decisions : (int * Batch.t) list; (* ascending inst *)
@@ -273,10 +258,6 @@ let snapshot ?name t =
     | Some n -> n
     | None -> Printf.sprintf "core.abcast_indirect.p%d" (t.me + 1)
   in
-  let payloads =
-    Id_tbl.fold (fun id m acc -> (id, m) :: acc) t.payloads []
-    |> List.sort (fun (a, _) (b, _) -> App_msg.compare_id a b)
-  in
   let decisions =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.decisions []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
@@ -285,10 +266,10 @@ let snapshot ?name t =
     ~data:
       (Snap.pack
          {
-           ad_payloads = payloads;
+           ad_payloads = t.payloads;
            ad_delivered = t.delivered;
            ad_pending = t.pending;
-           ad_ordered = t.ordered;
+           ad_decided = t.decided;
            ad_next_decide = t.next_decide;
            ad_proposed_up_to = t.proposed_up_to;
            ad_decisions = decisions;
@@ -298,9 +279,10 @@ let snapshot ?name t =
       ("next_decide", Snap.Int t.next_decide);
       ("proposed_up_to", Snap.Int t.proposed_up_to);
       ("delivered_count", Snap.Int t.delivered_count);
-      ("known_payloads", Snap.Int (List.length payloads));
-      ("pending_ids", Snap.Int (App_msg.Id_set.cardinal t.pending));
-      ("ordered_ids", Snap.Int (App_msg.Id_set.cardinal t.ordered));
+      ("known_payloads", Snap.Int (Msg_table.size t.payloads));
+      ("pending_ids", Snap.Int (Msg_table.size t.pending));
+      ( "ordered_ids",
+        Snap.Int (Id_table.population t.decided - Id_table.population t.delivered) );
       ("buffered_decisions", Snap.Int (List.length decisions));
     ]
 
@@ -312,11 +294,10 @@ let restore ?name t s =
   in
   Snap.check s ~name ~version:1;
   let (d : ab_data) = Snap.unpack_data s in
-  Id_tbl.reset t.payloads;
-  List.iter (fun (id, m) -> Id_tbl.add t.payloads id m) d.ad_payloads;
+  Msg_table.assign ~from:d.ad_payloads t.payloads;
   Id_table.assign ~from:d.ad_delivered t.delivered;
-  t.pending <- d.ad_pending;
-  t.ordered <- d.ad_ordered;
+  Msg_table.assign ~from:d.ad_pending t.pending;
+  Id_table.assign ~from:d.ad_decided t.decided;
   t.next_decide <- d.ad_next_decide;
   t.proposed_up_to <- d.ad_proposed_up_to;
   Hashtbl.reset t.decisions;

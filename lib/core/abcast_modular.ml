@@ -16,7 +16,7 @@ type t = {
   on_adeliver : App_msg.t -> unit;
   obs : Obs.t;
   delivered : Id_table.t;
-  mutable pending : Batch.t;
+  pending : Msg_table.t; (* known, not yet adelivered *)
   mutable next_decide : int; (* next instance to adeliver *)
   mutable proposed_up_to : int; (* highest instance proposed locally *)
   decisions : (int, Batch.t) Hashtbl.t; (* buffered out-of-order decisions *)
@@ -32,7 +32,7 @@ let create ~params ~me ~diffuse ~consensus ~on_adeliver ?(obs = Obs.noop) () =
     on_adeliver;
     obs;
     delivered = Id_table.create ~n:params.Params.n;
-    pending = Batch.empty;
+    pending = Msg_table.create ~n:params.Params.n;
     next_decide = 0;
     proposed_up_to = -1;
     decisions = Hashtbl.create 16;
@@ -43,23 +43,12 @@ let create ~params ~me ~diffuse ~consensus ~on_adeliver ?(obs = Obs.noop) () =
    outstanding proposal, renewed as soon as the previous instance decides
    (the Fig. 5 pipeline). *)
 let maybe_propose t =
-  if t.proposed_up_to < t.next_decide && not (Batch.is_empty t.pending) then begin
-    let batch =
-      (* Common case: everything pending fits under the cap, and the
-         proposal is the pending batch itself — no list round-trip. *)
-      if Batch.size t.pending <= t.params.Params.batch_cap then t.pending
-      else
-        let msgs = Batch.to_list t.pending in
-        let rec take acc k = function
-          | m :: rest when k > 0 -> take (m :: acc) (k - 1) rest
-          | _ -> acc
-        in
-        Batch.of_list (take [] t.params.Params.batch_cap msgs)
-    in
+  if t.proposed_up_to < t.next_decide && not (Msg_table.is_empty t.pending) then begin
+    let batch = Msg_table.take t.pending ~cap:t.params.Params.batch_cap in
     t.proposed_up_to <- t.next_decide;
     L.debug (fun m ->
         m "%a propose instance %d (%d msgs, %d pending)" Repro_net.Pid.pp t.me
-          t.next_decide (Batch.size batch) (Batch.size t.pending));
+          t.next_decide (Batch.size batch) (Msg_table.size t.pending));
     let sp =
       if Obs.tracing t.obs then
         Obs.span t.obs ~pid:t.me ~layer:`Abcast ~phase:"propose"
@@ -71,7 +60,7 @@ let maybe_propose t =
   end
 
 let adeliver_batch t batch =
-  List.iter
+  Batch.iter
     (fun m ->
       (* Integrity guard: a message appears in the total order once. *)
       let id = m.App_msg.id in
@@ -84,8 +73,8 @@ let adeliver_batch t batch =
           Obs.observe_since t.obs h_e2e_ms m.App_msg.abcast_at;
         t.on_adeliver m
       end)
-    (Batch.to_list batch);
-  t.pending <- Batch.diff t.pending batch
+    batch;
+  Batch.iter (fun m -> Msg_table.remove t.pending m.App_msg.id) batch
 
 let rec drain t =
   match Hashtbl.find_opt t.decisions t.next_decide with
@@ -116,7 +105,7 @@ let delivered_mem t (m : App_msg.t) =
 
 let abcast t m =
   if not (delivered_mem t m) then begin
-    t.pending <- Batch.add t.pending m;
+    Msg_table.add t.pending m;
     Obs.incr t.obs c_abcasts;
     let sp =
       if Obs.tracing t.obs then begin
@@ -136,7 +125,7 @@ let abcast t m =
 
 let on_diffuse t m =
   if not (delivered_mem t m) then begin
-    t.pending <- Batch.add t.pending m;
+    Msg_table.add t.pending m;
     maybe_propose t
   end
 
@@ -149,14 +138,14 @@ let on_decide t ~inst batch =
 
 let next_instance t = t.next_decide
 let delivered_count t = t.delivered_count
-let pending_count t = Batch.size t.pending
+let pending_count t = Msg_table.size t.pending
 
 (* ---- Snapshot ---- *)
 
 module Snap = Repro_sim.Snapshot
 
 type ab_data = {
-  ad_pending : Batch.t;
+  ad_pending : Msg_table.t;
   ad_delivered : Id_table.t;
   ad_next_decide : int;
   ad_proposed_up_to : int;
@@ -189,7 +178,7 @@ let snapshot ?name t =
       ("next_decide", Snap.Int t.next_decide);
       ("proposed_up_to", Snap.Int t.proposed_up_to);
       ("delivered_count", Snap.Int t.delivered_count);
-      ("pending", Snap.Int (Batch.size t.pending));
+      ("pending", Snap.Int (Msg_table.size t.pending));
       ("buffered_decisions", Snap.Int (List.length decisions));
     ]
 
@@ -201,7 +190,7 @@ let restore ?name t s =
   in
   Snap.check s ~name ~version:1;
   let (d : ab_data) = Snap.unpack_data s in
-  t.pending <- d.ad_pending;
+  Msg_table.assign ~from:d.ad_pending t.pending;
   Id_table.assign ~from:d.ad_delivered t.delivered;
   t.next_decide <- d.ad_next_decide;
   t.proposed_up_to <- d.ad_proposed_up_to;

@@ -42,9 +42,9 @@ type t = {
   mutable next_deliver : int; (* next instance to adeliver *)
   mutable max_decided : int; (* highest locally decided instance *)
   mutable launched : int; (* highest instance this process launched *)
-  mutable pool : Batch.t; (* coordinator-role pool of unordered messages *)
+  pool : Msg_table.t; (* coordinator-role pool of unordered messages *)
   mutable own_unsent : App_msg.t list; (* own messages not yet conveyed *)
-  mutable own_outstanding : Batch.t; (* own messages not yet adelivered *)
+  own_outstanding : Msg_table.t; (* own messages not yet adelivered *)
   decisions_buf : (int, Batch.t) Hashtbl.t;
   mutable active_acked : int;
       (* undecided instances this process has acked — nonzero means the
@@ -116,14 +116,14 @@ let delivered_mem t (m : App_msg.t) =
   Id_table.mem t.delivered ~origin:m.App_msg.id.App_msg.origin
     ~seq:m.App_msg.id.App_msg.seq
 
-let pool_add t m = if not (delivered_mem t m) then t.pool <- Batch.add t.pool m
+let pool_add t m = if not (delivered_mem t m) then Msg_table.add t.pool m
 
 let pipeline_active t = t.active_acked > 0 || t.ack_imminent
 
 (* ---- Delivery ---- *)
 
 let adeliver_batch t batch =
-  List.iter
+  Batch.iter
     (fun m ->
       if not (delivered_mem t m) then begin
         Id_table.add t.delivered ~origin:m.App_msg.id.App_msg.origin
@@ -134,9 +134,12 @@ let adeliver_batch t batch =
           Obs.observe_since t.obs h_e2e_ms m.App_msg.abcast_at;
         t.on_adeliver m
       end)
-    (Batch.to_list batch);
-  t.pool <- Batch.diff t.pool batch;
-  t.own_outstanding <- Batch.diff t.own_outstanding batch;
+    batch;
+  Batch.iter
+    (fun m ->
+      Msg_table.remove t.pool m.App_msg.id;
+      Msg_table.remove t.own_outstanding m.App_msg.id)
+    batch;
   t.own_unsent <-
     List.filter (fun m -> not (Batch.mem batch m.App_msg.id)) t.own_unsent
 
@@ -161,16 +164,6 @@ let rec drain t =
   | None -> ()
 
 (* ---- Decision & pipeline ---- *)
-
-let take_cap t batch =
-  if Batch.size batch <= t.params.Params.batch_cap then batch
-  else
-    let msgs = Batch.to_list batch in
-    let rec take acc k = function
-      | m :: rest when k > 0 -> take (m :: acc) (k - 1) rest
-      | _ -> acc
-    in
-    Batch.of_list (take [] t.params.Params.batch_cap msgs)
 
 let take_own_unsent t =
   let piggyback = List.rev t.own_unsent in
@@ -277,13 +270,13 @@ and maybe_launch t =
   let k = t.max_decided + 1 in
   if
     am_steward t && t.launched < k
-    && (not (Batch.is_empty t.pool))
+    && (not (Msg_table.is_empty t.pool))
     && k = t.next_deliver (* all previous instances fully delivered here *)
   then begin
     let s = state t k in
     if s.decided = None && not (List.mem 1 s.proposed_rounds) then begin
-      let proposal = take_cap t t.pool in
-      t.pool <- Batch.diff t.pool proposal;
+      let proposal = Msg_table.take t.pool ~cap:t.params.Params.batch_cap in
+      Batch.iter (fun m -> Msg_table.remove t.pool m.App_msg.id) proposal;
       t.launched <- k;
       s.proposed_rounds <- 1 :: s.proposed_rounds;
       Rounds.set_proposal s.rounds ~round:1 ~proposer:t.me proposal;
@@ -365,11 +358,9 @@ and send_estimate t s ~round =
     s.estimate_sent <- round :: s.estimate_sent;
     (* §4.2: on a coordinator change, re-piggyback every own message not
        yet adelivered — the previous coordinator may have died with them. *)
-    let piggyback = Batch.to_list t.own_outstanding in
+    let piggyback = Msg_table.to_list t.own_outstanding in
     t.own_unsent <-
-      List.filter
-        (fun m -> not (List.exists (fun m' -> App_msg.equal_id m.App_msg.id m'.App_msg.id) piggyback))
-        t.own_unsent;
+      List.filter (fun m -> not (Msg_table.mem t.own_outstanding m.App_msg.id)) t.own_unsent;
     t.send ~dst:(coord t ~round)
       (Msg.Mono_estimate { inst = s.inst; round; value; ts = s.ts; piggyback })
   | Some _ | None -> ()
@@ -436,9 +427,9 @@ let handle_decision_tag t ~inst ~round ~proposer =
 let flush_kick t =
   (* Safety net, armed while own messages are outstanding: re-convey them
      to the current steward. Never fires in good runs. *)
-  if not (Batch.is_empty t.own_outstanding) then begin
+  if not (Msg_table.is_empty t.own_outstanding) then begin
     if am_steward t then begin
-      List.iter (fun m -> pool_add t m) (Batch.to_list t.own_outstanding);
+      List.iter (fun m -> pool_add t m) (Msg_table.to_list t.own_outstanding);
       t.own_unsent <- [];
       maybe_launch t
     end
@@ -446,7 +437,7 @@ let flush_kick t =
       t.own_unsent <- [];
       List.iter
         (fun m -> t.send ~dst:(steward t) (Msg.To_coord m))
-        (Batch.to_list t.own_outstanding)
+        (Msg_table.to_list t.own_outstanding)
     end
   end
 
@@ -456,7 +447,7 @@ let rec arm_kick t =
     Some
       (Engine.schedule_after t.engine t.params.Params.round1_kick (fun () ->
            flush_kick t;
-           if not (Batch.is_empty t.own_outstanding) then arm_kick t))
+           if not (Msg_table.is_empty t.own_outstanding) then arm_kick t))
 
 let abcast t m =
   if not (delivered_mem t m) then begin
@@ -477,7 +468,7 @@ let abcast t m =
       else Obs.Span.no_parent
     in
     Obs.with_span_ctx t.obs sp (fun () ->
-        t.own_outstanding <- Batch.add t.own_outstanding m;
+        Msg_table.add t.own_outstanding m;
         arm_kick t;
         if am_steward t then begin
           pool_add t m;
@@ -670,9 +661,9 @@ let create ~engine ~params ~me ~fd ~send ~broadcast ~on_adeliver ?(obs = Obs.noo
       next_deliver = 0;
       max_decided = -1;
       launched = -1;
-      pool = Batch.empty;
+      pool = Msg_table.create ~n:params.Params.n;
       own_unsent = [];
-      own_outstanding = Batch.empty;
+      own_outstanding = Msg_table.create ~n:params.Params.n;
       decisions_buf = Hashtbl.create 16;
       active_acked = 0;
       ack_imminent = false;
@@ -709,9 +700,9 @@ type ab_data = {
   ad_next_deliver : int;
   ad_max_decided : int;
   ad_launched : int;
-  ad_pool : Batch.t;
+  ad_pool : Msg_table.t;
   ad_own_unsent : App_msg.t list;
-  ad_own_outstanding : Batch.t;
+  ad_own_outstanding : Msg_table.t;
   ad_decisions_buf : (int * Batch.t) list; (* ascending inst *)
   ad_active_acked : int;
   ad_ack_imminent : bool;
@@ -775,9 +766,9 @@ let snapshot ?name t =
        ("active_acked", Snap.Int t.active_acked);
        ("ack_imminent", Snap.Bool t.ack_imminent);
        ("instances", Snap.Int (List.length instances));
-       ("pool", Snap.Int (Batch.size t.pool));
+       ("pool", Snap.Int (Msg_table.size t.pool));
        ("own_unsent", Snap.Int (List.length t.own_unsent));
-       ("own_outstanding", Snap.Int (Batch.size t.own_outstanding));
+       ("own_outstanding", Snap.Int (Msg_table.size t.own_outstanding));
        ("buffered_decisions", Snap.Int (List.length decisions_buf));
      ]
     @ decision_window)
@@ -796,9 +787,9 @@ let restore ?name t s =
   t.next_deliver <- d.ad_next_deliver;
   t.max_decided <- d.ad_max_decided;
   t.launched <- d.ad_launched;
-  t.pool <- d.ad_pool;
+  Msg_table.assign ~from:d.ad_pool t.pool;
   t.own_unsent <- d.ad_own_unsent;
-  t.own_outstanding <- d.ad_own_outstanding;
+  Msg_table.assign ~from:d.ad_own_outstanding t.own_outstanding;
   Hashtbl.reset t.decisions_buf;
   List.iter (fun (k, v) -> Hashtbl.add t.decisions_buf k v) d.ad_decisions_buf;
   t.active_acked <- d.ad_active_acked;

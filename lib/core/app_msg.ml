@@ -13,9 +13,3 @@ let compare a b = compare_id a.id b.id
 let equal_id a b = compare_id a b = 0
 let pp_id ppf id = Fmt.pf ppf "%a#%d" Pid.pp id.origin id.seq
 let pp ppf m = Fmt.pf ppf "%a(%dB)" pp_id m.id m.size
-
-module Id_set = Set.Make (struct
-  type t = id
-
-  let compare = compare_id
-end)

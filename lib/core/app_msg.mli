@@ -34,6 +34,3 @@ val pp_id : id Fmt.t
 
 val pp : t Fmt.t
 (** Prints [p1#42(1024B)]. *)
-
-module Id_set : Set.S with type elt = id
-(** Sets of message identities (delivered-set bookkeeping). *)

@@ -1,28 +1,54 @@
-module M = Map.Make (struct
-  type t = App_msg.id
+(* A batch is a strictly ascending array of messages (by identity), so
+   size is the array length, membership a binary search, and two batches
+   with the same messages are structurally equal. *)
 
-  let compare = App_msg.compare_id
-end)
+type t = App_msg.t array
 
-type t = App_msg.t M.t
+let empty = [||]
+let is_empty t = Array.length t = 0
+let size = Array.length
 
-let empty = M.empty
-let is_empty = M.is_empty
-let add t m = M.add m.App_msg.id m t
-let of_list l = List.fold_left add empty l
-let to_list t = List.map snd (M.bindings t)
-let size = M.cardinal
-let payload_bytes t = M.fold (fun _ m acc -> acc + m.App_msg.size) t 0
-let mem t id = M.mem id t
-let union a b = M.union (fun _ m _ -> Some m) a b
-let remove_ids t ids = M.filter (fun id _ -> not (App_msg.Id_set.mem id ids)) t
+let strictly_ascending a =
+  let rec go i =
+    i >= Array.length a || (App_msg.compare a.(i - 1) a.(i) < 0 && go (i + 1))
+  in
+  go 1
 
-(* Decided batches are small and [t] can be large (the coordinator pool),
-   so removing per decided id beats [remove_ids]'s whole-map rebuild —
-   and skips materialising the id set entirely. *)
-let diff t b = M.fold (fun id _ acc -> M.remove id acc) b t
-let ids t = M.fold (fun id _ acc -> App_msg.Id_set.add id acc) t App_msg.Id_set.empty
-let equal a b = M.equal (fun x y -> App_msg.compare x y = 0) a b
+(* Sort stably, then keep the last copy of each identity — what a chain
+   of [Map.add]s over the input kept. *)
+let of_array a =
+  if strictly_ascending a then a
+  else begin
+    Array.stable_sort App_msg.compare a;
+    let n = Array.length a in
+    let kept = ref 0 in
+    for i = 0 to n - 1 do
+      if i + 1 = n || App_msg.compare a.(i) a.(i + 1) <> 0 then begin
+        a.(!kept) <- a.(i);
+        incr kept
+      end
+    done;
+    if !kept = n then a else Array.sub a 0 !kept
+  end
+
+let of_list l = of_array (Array.of_list l)
+let to_list = Array.to_list
+let iter = Array.iter
+let fold = Array.fold_left
+let payload_bytes t = fold (fun acc m -> acc + m.App_msg.size) 0 t
+
+let mem t id =
+  let rec search lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) lsr 1 in
+    let c = App_msg.compare_id id t.(mid).App_msg.id in
+    c = 0 || if c < 0 then search lo mid else search (mid + 1) hi
+  in
+  search 0 (Array.length t)
+
+let equal a b =
+  Array.length a = Array.length b && Array.for_all2 (fun x y -> App_msg.compare x y = 0) a b
 
 let pp ppf t =
-  Fmt.pf ppf "{%a}" (Fmt.list ~sep:(Fmt.any ", ") App_msg.pp) (to_list t)
+  Fmt.pf ppf "{%a}" (Fmt.array ~sep:(Fmt.any ", ") App_msg.pp) t

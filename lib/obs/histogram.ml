@@ -71,104 +71,9 @@ let buckets t =
 
 let samples t = Array.to_list (Array.sub t.samples 0 t.count)
 
-(* In-place ascending sort of an array of non-negative floats (NaN and
-   -0.0 excluded). Such floats order as their bit patterns do, and their
-   sign bit is clear, so bits 0–62 — exactly an OCaml int — are an
-   order-preserving key: LSD radix sort on 11-bit digits, skipping each
-   digit all keys share. Several times faster than a comparison sort on
-   the hundreds of thousands of samples a sharded run records. *)
-let radix_sort (a : float array) =
-  let n = Array.length a in
-  let digit_bits = 11 in
-  let mask = (1 lsl digit_bits) - 1 in
-  let count = Array.make (mask + 1) 0 in
-  let src = ref (Array.init n (fun i -> Int64.to_int (Int64.bits_of_float a.(i)))) in
-  let dst = ref (Array.make n 0) in
-  let shift = ref 0 in
-  while !shift < 63 do
-    let s = !src and sh = !shift in
-    Array.fill count 0 (mask + 1) 0;
-    for i = 0 to n - 1 do
-      let d = (s.(i) lsr sh) land mask in
-      count.(d) <- count.(d) + 1
-    done;
-    if count.((s.(0) lsr sh) land mask) < n then begin
-      let start = ref 0 in
-      for d = 0 to mask do
-        let c = count.(d) in
-        count.(d) <- !start;
-        start := !start + c
-      done;
-      let d' = !dst in
-      for i = 0 to n - 1 do
-        let k = s.(i) in
-        let d = (k lsr sh) land mask in
-        d'.(count.(d)) <- k;
-        count.(d) <- count.(d) + 1
-      done;
-      src := d';
-      dst := s
-    end;
-    shift := sh + digit_bits
-  done;
-  (* [Int64.of_int] sign-extends bit 62 into bit 63; the float's sign bit
-     was clear. *)
-  let s = !src in
-  for i = 0 to n - 1 do
-    a.(i) <- Int64.float_of_bits (Int64.logand (Int64.of_int s.(i)) Int64.max_int)
-  done
-
-(* Any two ascending sorts of an array leave the same bit patterns in the
-   same places unless distinct patterns compare equal: 0.0 and -0.0, or
-   NaNs. Latency samples are never negative, so they take [radix_sort];
-   any other input gets [Stats.summarize]'s own sort, which places such
-   ties where it does. *)
-let sort_floats (a : float array) =
-  let nonneg = ref true in
-  for i = 0 to Array.length a - 1 do
-    let x = a.(i) in
-    if x <> x || Float.sign_bit x then nonneg := false
-  done;
-  if !nonneg && Array.length a > 0 then radix_sort a else Array.sort compare a
-
 (* [Stats.summarize (samples t)] without the list round trip: one sorted
-   copy of the samples, and mean and variance summed in the same order
-   with the same operations, so every field is bit-identical. *)
-let summary t =
-  let n = t.count in
-  if n = 0 then Stats.summarize []
-  else begin
-    let a = Array.sub t.samples 0 n in
-    sort_floats a;
-    let fn = float_of_int n in
-    let sum = ref 0.0 in
-    for i = 0 to n - 1 do
-      sum := !sum +. a.(i)
-    done;
-    let mean = !sum /. fn in
-    let var =
-      if n < 2 then 0.0
-      else begin
-        let acc = ref 0.0 in
-        for i = 0 to n - 1 do
-          acc := !acc +. ((a.(i) -. mean) ** 2.0)
-        done;
-        !acc /. (fn -. 1.0)
-      end
-    in
-    let stddev = sqrt var in
-    {
-      Stats.count = n;
-      mean;
-      stddev;
-      ci95 = 1.96 *. stddev /. sqrt fn;
-      min = a.(0);
-      max = a.(n - 1);
-      p50 = Stats.percentile a 0.5;
-      p95 = Stats.percentile a 0.95;
-      p99 = Stats.percentile a 0.99;
-    }
-  end
+   copy of the samples, summarized by the same code. *)
+let summary t = Stats.summarize_array (Array.sub t.samples 0 t.count)
 
 let absorb ~into src =
   if

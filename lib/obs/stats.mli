@@ -18,6 +18,12 @@ type summary = {
 val summarize : float list -> summary
 (** Summary of a sample. An empty sample yields all-zero fields. *)
 
+val summarize_array : float array -> summary
+(** {!summarize} on an array, which it sorts in place. Arrays of
+    non-negative, non-NaN floats (all latency samples) take an LSD radix
+    sort on the float bits, others a comparison sort; the sorted array,
+    and so the summary, is the same bit for bit either way. *)
+
 val mean : float list -> float
 (** Arithmetic mean; 0 on empty input. *)
 

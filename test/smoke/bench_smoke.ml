@@ -4,8 +4,9 @@
    `repro compare` against the identical report (must exit 0), a
    synthetically regressed copy (must exit nonzero), a copy whose
    events_executed differs (must exit nonzero) and a copy that differs in
-   events_executed and mode (informational only: must exit 0). Wired into
-   `dune runtest`. *)
+   events_executed and mode (informational only: must exit 0). Then runs
+   the SIGPROF profiler once at n = 3 and checks that it took samples and
+   charged them to lib/ files. Wired into `dune runtest`. *)
 
 module Br = Repro_analysis.Bench_report
 
@@ -25,10 +26,10 @@ let run_cli bin args =
   if code <> 0 then fail "%s %s exited with %d" bin (String.concat " " args) code
 
 let () =
-  let bench_exe, repro_bin =
+  let bench_exe, repro_bin, sigprof_exe =
     match Sys.argv with
-    | [| _; bench; repro |] -> (bench, repro)
-    | _ -> fail "usage: bench_smoke BENCH_EXE REPRO_BIN"
+    | [| _; bench; repro; sigprof |] -> (bench, repro, sigprof)
+    | _ -> fail "usage: bench_smoke BENCH_EXE REPRO_BIN SIGPROF_EXE"
   in
   let report_path = "bench_smoke.json" in
   run_cli bench_exe [ "--smoke"; "--json-out"; report_path ];
@@ -92,4 +93,22 @@ let () =
       report_path;
       with_meta "bench_smoke_mode.json" (("mode", "other") :: events);
     ];
+  let profile_path = "bench_smoke_sigprof.txt" in
+  let args = [ "--stack"; "modular"; "-n"; "3"; "--reps"; "1"; "--by"; "lib" ] in
+  let cmd = String.concat " " (List.map Filename.quote (sigprof_exe :: args)) in
+  (match Sys.command (cmd ^ " > " ^ Filename.quote profile_path) with
+  | 0 -> ()
+  | code -> fail "sigprof exited with %d" code);
+  let lines = In_channel.with_open_text profile_path In_channel.input_all |> String.split_on_char '\n' in
+  (match lines with
+  | header :: _ -> (
+    match Scanf.sscanf_opt header "sigprof: modular n=3 reps=1 by=lib: %d samples" Fun.id with
+    | Some samples when samples > 0 -> ()
+    | Some _ | None -> fail "sigprof took no samples: %S" header)
+  | [] -> fail "sigprof printed nothing");
+  let charged_to_lib l =
+    List.exists (String.starts_with ~prefix:"lib/") (String.split_on_char ' ' l)
+  in
+  if not (List.exists charged_to_lib lines) then
+    fail "sigprof charged no sample to a lib/ line";
   print_endline "bench-smoke: OK"

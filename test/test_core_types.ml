@@ -19,12 +19,6 @@ let test_app_msg_identity () =
   Alcotest.(check bool) "equal_id" true (App_msg.equal_id a.App_msg.id a.App_msg.id);
   Alcotest.(check string) "pp" "p1#1(100B)" (Fmt.str "%a" App_msg.pp a)
 
-let test_id_set () =
-  let set =
-    App_msg.Id_set.of_list [ (mk 0 0).App_msg.id; (mk 1 0).App_msg.id; (mk 0 0).App_msg.id ]
-  in
-  Alcotest.(check int) "dedup" 2 (App_msg.Id_set.cardinal set)
-
 (* ---- Batch ---- *)
 
 let test_batch_canonical () =
@@ -41,22 +35,170 @@ let test_batch_operations () =
   Alcotest.(check int) "payload_bytes" 30 (Batch.payload_bytes b);
   Alcotest.(check bool) "mem" true (Batch.mem b (mk 0 0).App_msg.id);
   Alcotest.(check bool) "not mem" false (Batch.mem b (mk 2 0).App_msg.id);
-  let u = Batch.union b (Batch.of_list [ mk 1 0; mk 2 0 ]) in
-  Alcotest.(check int) "union dedups" 3 (Batch.size u);
-  let removed = Batch.remove_ids u (Batch.ids b) in
-  Alcotest.(check int) "remove_ids" 1 (Batch.size removed);
   Alcotest.(check bool) "empty" true (Batch.is_empty Batch.empty);
-  Alcotest.(check int) "ids cardinality" 3 (App_msg.Id_set.cardinal (Batch.ids u))
+  Alcotest.(check int) "fold" 2 (Batch.fold (fun acc _ -> acc + 1) 0 b);
+  let seen = ref [] in
+  Batch.iter (fun m -> seen := m.App_msg.id.App_msg.origin :: !seen) b;
+  Alcotest.(check (list int)) "iter ascending" [ 1; 0 ] !seen
 
-let prop_batch_union =
-  QCheck.Test.make ~name:"batch union is commutative, associative, idempotent" ~count:200
-    QCheck.(pair (list (pair (int_bound 4) (int_bound 20))) (list (pair (int_bound 4) (int_bound 20))))
-    (fun (xs, ys) ->
-      let batch_of l = Batch.of_list (List.map (fun (o, s) -> mk o s) l) in
-      let a = batch_of xs and b = batch_of ys in
-      Batch.equal (Batch.union a b) (Batch.union b a)
-      && Batch.equal (Batch.union a (Batch.union a b)) (Batch.union a b)
-      && Batch.equal (Batch.union a a) a)
+(* Reference model: the [Map]-backed batch the array replaced. [Map.add]
+   replaces, so of several copies of one identity the last one stays. *)
+module Id_map = Map.Make (struct
+  type t = App_msg.id
+
+  let compare = App_msg.compare_id
+end)
+
+let map_batch l = List.fold_left (fun acc m -> Id_map.add m.App_msg.id m acc) Id_map.empty l
+
+(* Same identity and same size: an equivocated copy differs only in size. *)
+let same_msgs a b =
+  List.equal
+    (fun (x : App_msg.t) (y : App_msg.t) -> App_msg.compare x y = 0 && x.size = y.size)
+    a b
+
+(* Identities over few origins and seqs, so duplicates are common, and
+   three sizes per identity, so duplicates are often equivocated copies. *)
+let arb_batch_input =
+  QCheck.(list_of_size Gen.(0 -- 40) (triple (int_bound 4) (int_bound 12) (int_bound 2)))
+
+let batch_input l = List.map (fun (o, s, v) -> mk ~size:(100 + v) o s) l
+
+let prop_batch_matches_map =
+  QCheck.Test.make ~name:"array batch matches the map-backed batch" ~count:500
+    (QCheck.pair arb_batch_input arb_batch_input) (fun (xs, ys) ->
+      let l = batch_input xs and l' = batch_input ys in
+      let b = Batch.of_list l and r = map_batch l in
+      let b' = Batch.of_list l' and r' = map_batch l' in
+      let expected = List.map snd (Id_map.bindings r) in
+      let probes =
+        List.concat_map (fun o -> List.init 14 (fun s -> { App_msg.origin = o; seq = s })) [ 0; 1; 2; 3; 4; 5 ]
+      in
+      same_msgs (Batch.to_list b) expected
+      && Batch.size b = Id_map.cardinal r
+      && Batch.payload_bytes b = Id_map.fold (fun _ m acc -> acc + m.App_msg.size) r 0
+      && List.for_all (fun id -> Batch.mem b id = Id_map.mem id r) probes
+      && Batch.equal b b' = Id_map.equal (fun _ _ -> true) r r'
+      && Batch.equal b (Batch.of_list (List.rev l))
+      && same_msgs (Batch.to_list (Batch.of_list expected)) expected
+      && Batch.fold (fun acc m -> m :: acc) [] b = List.rev (Batch.to_list b))
+
+(* ---- Msg_table ---- *)
+
+type table_op =
+  | Add_next of int * int * int (* origin, seq step from the origin's last add, size *)
+  | Add_at of int * int * int (* origin, seq, size *)
+  | Add_below of int * int * int (* origin, distance below its lowest seq, size *)
+  | Remove_at of int * int (* origin, seq: often absent *)
+  | Remove_lowest of int (* sheds a window from the front *)
+  | Take of int
+
+let gen_table_op n bound =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map3 (fun o d v -> Add_next (o, d, v)) (int_bound (n - 1)) (int_range (-3) 9) (int_bound 2));
+        (2, map3 (fun o s v -> Add_at (o, s, v)) (int_bound (n - 1)) (int_bound bound) (int_bound 2));
+        (2, map3 (fun o k v -> Add_below (o, k, v)) (int_bound (n - 1)) (int_range 1 24) (int_bound 2));
+        (2, map2 (fun o s -> Remove_at (o, s)) (int_bound (n - 1)) (int_bound bound));
+        (5, map (fun o -> Remove_lowest o) (int_bound (n - 1)));
+        (1, map (fun c -> Take c) (int_bound 12));
+      ])
+
+let pp_table_op = function
+  | Add_next (o, d, v) -> Printf.sprintf "add_next(%d,%+d,%d)" o d v
+  | Add_at (o, s, v) -> Printf.sprintf "add(%d,%d,%d)" o s v
+  | Add_below (o, k, v) -> Printf.sprintf "add_below(%d,%d,%d)" o k v
+  | Remove_at (o, s) -> Printf.sprintf "remove(%d,%d)" o s
+  | Remove_lowest o -> Printf.sprintf "remove_lowest(%d)" o
+  | Take c -> Printf.sprintf "take(%d)" c
+
+let arb_table_run =
+  let gen =
+    QCheck.Gen.(
+      (* A tight seq bound makes rows re-base onto bases they had before,
+         where a slot left behind by a shift would show up again. *)
+      pair (oneofl [ 3; 5; 7 ]) (oneofl [ 12; 80 ]) >>= fun (n, bound) ->
+      map (fun ops -> (n, ops)) (list_size (0 -- 400) (gen_table_op n bound)))
+  in
+  QCheck.make gen ~print:(fun (n, ops) ->
+      Printf.sprintf "n=%d [%s]" n (String.concat "; " (List.map pp_table_op ops)))
+
+let rec first k = function x :: rest when k > 0 -> x :: first (k - 1) rest | _ -> []
+
+(* Apply each operation to a [Msg_table] and to an [Id_map] reference,
+   and after every step compare lookups over every identity touched so
+   far, the size, the ascending listing and [take] at several caps. *)
+let prop_msg_table_model =
+  QCheck.Test.make ~name:"msg table matches a map reference" ~count:300 arb_table_run
+    (fun (n, ops) ->
+      let t = Msg_table.create ~n in
+      let r = ref Id_map.empty in
+      let last = Array.make n 0 in
+      let touched = ref [] in
+      let id o s = { App_msg.origin = o; seq = s } in
+      let add o s v =
+        let m = mk ~size:(100 + v) o s in
+        touched := m.App_msg.id :: !touched;
+        Msg_table.add t m;
+        r := Id_map.add m.App_msg.id m !r
+      in
+      let remove i =
+        touched := i :: !touched;
+        Msg_table.remove t i;
+        r := Id_map.remove i !r
+      in
+      let agrees extra_cap =
+        let expected = List.map snd (Id_map.bindings !r) in
+        let size = Id_map.cardinal !r in
+        Msg_table.size t = size
+        && Msg_table.is_empty t = (size = 0)
+        && same_msgs (Msg_table.to_list t) expected
+        && List.for_all
+             (fun i ->
+               Msg_table.mem t i = Id_map.mem i !r
+               && Option.equal
+                    (fun a b -> same_msgs [ a ] [ b ])
+                    (Msg_table.find_opt t i) (Id_map.find_opt i !r))
+             !touched
+        && List.for_all
+             (fun cap -> same_msgs (Batch.to_list (Msg_table.take t ~cap)) (first cap expected))
+             [ 0; 1; 2; 5; extra_cap; size - 1; size; size + 3 ]
+      in
+      List.for_all
+        (fun op ->
+          let extra_cap =
+            match op with
+            | Add_next (o, d, v) ->
+              let s = max 0 (last.(o) + d) in
+              last.(o) <- s;
+              add o s v;
+              3
+            | Add_at (o, s, v) ->
+              add o s v;
+              4
+            | Add_below (o, k, v) ->
+              (* Just under the live window: the row re-bases downwards. *)
+              let lowest =
+                match Id_map.find_first_opt (fun i -> i.App_msg.origin >= o) !r with
+                | Some (i, _) when i.App_msg.origin = o -> i.App_msg.seq
+                | _ -> last.(o)
+              in
+              add o (max 0 (lowest - k)) v;
+              5
+            | Remove_at (o, s) ->
+              remove (id o s);
+              6
+            | Remove_lowest o -> (
+              match Id_map.find_first_opt (fun i -> i.App_msg.origin >= o) !r with
+              | Some (i, _) when i.App_msg.origin = o ->
+                remove i;
+                7
+              | _ -> 7)
+            | Take c -> c
+          in
+          agrees extra_cap)
+        ops)
 
 let prop_batch_sorted =
   QCheck.Test.make ~name:"batch to_list is always identity-sorted" ~count:200
@@ -380,15 +522,15 @@ let () =
       ( "app-msg",
         [
           Alcotest.test_case "identity order" `Quick test_app_msg_identity;
-          Alcotest.test_case "id sets" `Quick test_id_set;
         ] );
       ( "batch",
         [
           Alcotest.test_case "canonical form" `Quick test_batch_canonical;
           Alcotest.test_case "operations" `Quick test_batch_operations;
-          QCheck_alcotest.to_alcotest prop_batch_union;
           QCheck_alcotest.to_alcotest prop_batch_sorted;
+          QCheck_alcotest.to_alcotest prop_batch_matches_map;
         ] );
+      ("msg-table", [ QCheck_alcotest.to_alcotest prop_msg_table_model ]);
       ("rounds", [ QCheck_alcotest.to_alcotest prop_rounds_model ]);
       ( "msg",
         [
