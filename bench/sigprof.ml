@@ -1,14 +1,14 @@
 (* SIGPROF sampling profile of one stack on the paper-n7 cell (n = 7,
-   2000 msgs/s Poisson, 1 KiB, 1 s warm-up + 9 s measured; -n changes the
-   group size only). Every millisecond of process CPU time a handler reads
-   the call stack and charges the sample to one source line:
+   2000 msgs/s Poisson, 1 KiB, 1 s warm-up + 9 s measured, seed 0; -n
+   changes the group size only). Every millisecond of process CPU time a
+   handler reads the call stack and charges the sample to one source line:
 
      --by line  the innermost frame with a location (stdlib included);
      --by lib   the innermost frame in a lib/ source file, so time in the
                 stdlib's Hashtbl, Set or Map is charged to the lib/ line
                 that called it.
 
-   Prints the lines sorted by samples, then (--by lib) the same samples
+   Prints the 30 lines with most samples, then (--by lib) the same samples
    summed per file. Run it from a build with debug info (dune's dev and
    release profiles both have it):
 
@@ -24,13 +24,11 @@ open Repro_workload
 
 let usage () =
   prerr_endline
-    "usage: sigprof [--stack modular|indirect|monolithic] [-n N] [--reps R] [--by line|lib] \
-     [--seed S] [--top K]";
+    "usage: sigprof [--stack modular|indirect|monolithic] [-n N] [--reps R] [--by line|lib]";
   exit 2
 
 let () =
   let stack = ref Replica.Indirect and n = ref 7 and reps = ref 1 and by_lib = ref true in
-  let seed = ref 0 and top = ref 30 in
   let positive v = match int_of_string_opt v with Some i when i > 0 -> i | _ -> usage () in
   let rec parse = function
     | [] -> ()
@@ -47,12 +45,6 @@ let () =
       parse rest
     | "--reps" :: v :: rest ->
       reps := positive v;
-      parse rest
-    | "--seed" :: v :: rest ->
-      seed := (match int_of_string_opt v with Some i -> i | None -> usage ());
-      parse rest
-    | "--top" :: v :: rest ->
-      top := positive v;
       parse rest
     | "--by" :: v :: rest ->
       (by_lib := match v with "lib" -> true | "line" -> false | _ -> usage ());
@@ -85,7 +77,7 @@ let () =
   in
   let config =
     Experiment.config ~kind:!stack ~n:!n ~offered_load:2000.0 ~size:1024 ~warmup_s:1.0
-      ~measure_s:9.0 ~seed:!seed ~arrival:Generator.Poisson ()
+      ~measure_s:9.0 ~seed:0 ~arrival:Generator.Poisson ()
   in
   Sys.set_signal Sys.sigprof (Sys.Signal_handle (fun _ -> record ()));
   let tick = { Unix.it_value = 0.001; it_interval = 0.001 } in
@@ -105,11 +97,12 @@ let () =
     (Experiment.kind_name !stack) !n !reps
     (if !by_lib then "lib" else "line")
     !total cpu_ms !events;
+  let top = 30 in
   let share c = 100.0 *. float_of_int c /. float_of_int (max 1 !total) in
   let print_sorted tbl =
     Hashtbl.fold (fun k c acc -> (k, c) :: acc) tbl []
     |> List.sort (fun (k1, c1) (k2, c2) -> if c1 <> c2 then Int.compare c2 c1 else String.compare k1 k2)
-    |> List.iteri (fun i (k, c) -> if i < !top then Printf.printf "%6d %5.1f%%  %s\n" c (share c) k)
+    |> List.iteri (fun i (k, c) -> if i < top then Printf.printf "%6d %5.1f%%  %s\n" c (share c) k)
   in
   print_sorted counts;
   if !by_lib then begin
